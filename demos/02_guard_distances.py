@@ -8,14 +8,7 @@ keeping the packed interference at the BS under its SIR cap.
 
 import numpy as np
 
-from d2dcap import (
-    CellConfig,
-    RadioConfig,
-    build_layout,
-    guard_distances,
-    hex_radii,
-    total_pairs,
-)
+from d2dcap import CellConfig, RadioConfig, guard_distances, packed_layout
 
 cell = CellConfig()
 radio = RadioConfig(noise_mode="zero")
@@ -28,8 +21,8 @@ print(f"  BS guard          g_b = {gd.g_b:8.2f} m")
 print(f"  exclusion disks   r_e in [{gd.r_e_min:.2f}, {gd.r_e_max:.2f}] m")
 print(f"  deployable ring   [{gd.r_in:.2f}, {gd.r_out:.2f}] m")
 
-layout = build_layout(hex_radii(gd.g_b, cell.r_cell_m), cell.d_min_m, gd.r_e_min)
-print(f"\nHexagonal layering packs {total_pairs(layout)} minimum-size pairs:")
+layout = packed_layout(gd.g_d, gd.g_b, cell)
+print(f"\nHexagonal layering packs {layout.n_total} minimum-size pairs:")
 for i, ((n_excl, n_incl), kappa) in enumerate(zip(layout.per_layer, layout.kappa), 1):
     print(f"  layer {i}: base at {kappa:6.1f} m, {n_excl} + {n_incl} disks per third")
 
@@ -38,5 +31,5 @@ print(f"{'P_t,D [mW]':>11} {'g_b [m]':>9} {'pairs':>6}")
 for p_due in np.linspace(0.5, 4.0, 8):
     r = RadioConfig(noise_mode="zero", p_due_mw=float(p_due))
     g = guard_distances(r, cell)
-    n = total_pairs(build_layout(hex_radii(g.g_b, cell.r_cell_m), cell.d_min_m, g.r_e_min))
+    n = packed_layout(g.g_d, g.g_b, cell).n_total
     print(f"{p_due:11.2f} {g.g_b:9.2f} {n:6d}")

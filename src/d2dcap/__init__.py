@@ -34,11 +34,12 @@ from .hexpack import (
     PackingLayout,
     bs_interference,
     build_layout,
+    disk_radii,
     first_layer_neighbors,
     hex_radii,
     layer_count,
     layer_pairs,
-    total_pairs,
+    packed_layout,
 )
 from .mcsim import (
     PairPlacement,

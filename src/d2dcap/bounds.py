@@ -93,7 +93,9 @@ def deployable_area(d_cb: float, gd: GuardDistances, cell: CellConfig) -> Deploy
     r_cell/(1+k) (cut-out reaches the outer boundary) and g_b/(1-k)
     (cut-out clears the central hole; unreachable when k >= 1).  Ties are
     resolved toward the earlier-listed case; intervals are intersected
-    with [0, r_cell].
+    with [0, r_cell].  Where the cut-out swallows the whole ring the
+    difference of areas can round a hair below zero; the area is clamped
+    at 0.
     """
     if not 0.0 <= d_cb <= cell.r_cell_m:
         raise ValueError(f"CUE distance must lie in [0, {cell.r_cell_m}], got {d_cb}")
@@ -153,7 +155,7 @@ def deployable_area(d_cb: float, gd: GuardDistances, cell: CellConfig) -> Deploy
         else:
             case, area = CASE_DOUBLE_CROSS, double_cross()
 
-    return DeployableArea(area_m2=area, case_label=case, regime=regime)
+    return DeployableArea(area_m2=max(area, 0.0), case_label=case, regime=regime)
 
 
 def pair_capacity(area, r_e: float) -> float:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from . import bounds, guard, hexpack, mcsim
 from .scenario import Scenario, ScenarioError, SweepAxis, load_scenario
@@ -22,6 +24,8 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+
+_SOLVER_FAILURES = (guard.NoiseLimited, guard.Infeasible, guard.NonConvergent)
 
 
 def _fmt(value) -> str:
@@ -92,52 +96,36 @@ def cmd_sweep(scenario: Scenario) -> tuple[list[str], list[list]]:
     """Guard radii and packed-count throughput over a DUE-power grid.
 
     The second axis is either the maximum CUE power or the bit rate.
-    Points where no pair is admissible are emitted with NaN guard radius
-    and throughput rather than aborting the sweep.
+    A point where a solver gives up is emitted with NaN for every
+    quantity it could not solve rather than aborting the sweep.
     """
     axis = scenario.axis("p_due", SweepAxis("p_due", 0.25, 6.0, 24))
-    versus_field = (
-        "p_cue_max_mw" if scenario.versus_name == "p_cue_max" else "bitrate_bps"
-    )
+    cell = scenario.cell
     rows = []
     for versus_value in scenario.versus_values:
         for p_due in axis.values():
             radio = scenario.radio_with(
-                p_due_mw=float(p_due), **{versus_field: versus_value}
+                p_due_mw=float(p_due), **{scenario.versus_field: versus_value}
             )
-            g_d, _ = guard.solve_gd(radio, scenario.cell)
+            g_d = g_b = t_upper = math.nan
             try:
-                g_b = guard.solve_gb(radio, scenario.cell, g_d)
-                layout = hexpack.build_layout(
-                    hexpack.hex_radii(g_b, scenario.cell.r_cell_m),
-                    scenario.cell.d_min_m,
-                    (g_d + scenario.cell.d_min_m) / 2.0,
-                )
+                g_d, _ = guard.solve_gd(radio, cell)
+                g_b = guard.solve_gb(radio, cell, g_d)
                 t_upper = bounds.packing_upper_bound(
-                    hexpack.total_pairs(layout), radio.bitrate_bps
+                    hexpack.packed_layout(g_d, g_b, cell).n_total, radio.bitrate_bps
                 )
-            except guard.Infeasible:
-                g_b, t_upper = float("nan"), float("nan")
+            except _SOLVER_FAILURES:
+                pass
             rows.append([float(p_due), float(versus_value), g_d, g_b, t_upper])
     return ["p_due_mw", scenario.versus_name, "g_d_m", "g_b_m", "t_upper_bps"], rows
 
 
 def _simulate_point(
-    scenario: Scenario, gd, d_cb: float, point_index: int, density: float | None
+    scenario: Scenario, gd, cfg: mcsim.TrialConfig, point_index: int
 ) -> list:
-    base = mcsim.TrialConfig(
-        mode=scenario.sim_mode,
-        density=density,
-        d2d_dist=scenario.d2d_dist,
-        d_fixed=scenario.d_fixed,
-        d_cb=d_cb,
-        seed=scenario.seed,
-        stop_after_failures=scenario.stop_after_failures,
-    )
-
     def one(trial: int) -> mcsim.TrialResult:
         return mcsim.run_trial(
-            base, scenario.radio, scenario.cell, gd,
+            cfg, scenario.radio, scenario.cell, gd,
             trial_index=point_index * scenario.trials + trial,
         )
 
@@ -152,10 +140,10 @@ def _simulate_point(
         r.min_due_sir >= scenario.radio.sir_due and r.bs_sir >= scenario.radio.sir_bs
         for r in results
     ]
-    area = bounds.deployable_area(d_cb, gd, scenario.cell)
+    area = bounds.deployable_area(cfg.d_cb, gd, scenario.cell)
     tb = bounds.throughput_bounds(area, gd, scenario.cell, scenario.radio.bitrate_bps)
     return [
-        d_cb,
+        cfg.d_cb,
         scenario.trials,
         stats["n_pairs"].mean,
         stats["throughput_bps"].mean,
@@ -170,10 +158,16 @@ def _simulate_point(
 
 
 def cmd_simulate(scenario: Scenario) -> tuple[list[str], list[list]]:
-    """Monte Carlo throughput versus CUE position, with analytic bounds."""
+    """Monte Carlo throughput versus CUE position, with analytic bounds.
+
+    In ppp mode every density gets its own pass over the CUE positions
+    and a leading density column.
+    """
     gd = guard.guard_distances(scenario.radio, scenario.cell)
     axis = scenario.axis("d_cb", SweepAxis("d_cb", 0.0, 400.0, 5))
-    columns = [
+    ppp = scenario.sims[0].mode == "ppp"
+    columns = ["density_per_m2"] if ppp else []
+    columns += [
         "d_cb_m",
         "trials",
         "mean_pairs",
@@ -186,20 +180,11 @@ def cmd_simulate(scenario: Scenario) -> tuple[list[str], list[list]]:
         "sir_success_rate",
         "rotation_success_rate",
     ]
+    grid = [(sim, float(d_cb)) for sim in scenario.sims for d_cb in axis.values()]
     rows = []
-    if scenario.sim_mode == "ppp":
-        columns = ["density_per_m2"] + columns
-        point = 0
-        for density in scenario.densities:
-            for d_cb in axis.values():
-                rows.append(
-                    [density]
-                    + _simulate_point(scenario, gd, float(d_cb), point, density)
-                )
-                point += 1
-    else:
-        for point, d_cb in enumerate(axis.values()):
-            rows.append(_simulate_point(scenario, gd, float(d_cb), point, None))
+    for point, (sim, d_cb) in enumerate(grid):
+        row = _simulate_point(scenario, gd, replace(sim, d_cb=d_cb), point)
+        rows.append([sim.density] + row if ppp else row)
     return columns, rows
 
 
@@ -252,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         columns, rows = _COMMANDS[args.command](scenario)
-    except (guard.NoiseLimited, guard.Infeasible, guard.NonConvergent) as exc:
+    except _SOLVER_FAILURES as exc:
         print(f"d2dcap: solver gave up: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     _emit(scenario, columns, rows)

@@ -10,7 +10,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import hexpack
 from .propagation import (
@@ -114,9 +114,7 @@ def _solve_gd_trace(
     cfg: RadioConfig, cell: CellConfig, max_iter: int = 64
 ) -> tuple[float, int, int]:
     def neighbors_for(g_d: float) -> int:
-        r_e_min = (g_d + cell.d_min_m) / 2.0
-        r_e_max = (g_d + cell.d_max_m) / 2.0
-        return hexpack.first_layer_neighbors(g_d, r_e_min, r_e_max)
+        return hexpack.first_layer_neighbors(g_d, *hexpack.disk_radii(g_d, cell))
 
     n_s = 6
     seen: list[int] = []
@@ -167,16 +165,12 @@ def solve_gb(cfg: RadioConfig, cell: CellConfig, g_d: float, tol: float = 1e-3) 
     returned directly when feasible everywhere.  Raises Infeasible when
     only configurations with zero admissible pairs satisfy the constraint.
     """
-    r_e_min = (g_d + cell.d_min_m) / 2.0
+    r_e_min, _ = hexpack.disk_radii(g_d, cell)
     cap = cfg.p_cue_max_mw * path_loss(cfg.pl_bs, cell.r_cell_m) / cfg.sir_bs
-
-    def layout(g_b: float) -> hexpack.PackingLayout:
-        hexes = hexpack.hex_radii(g_b, cell.r_cell_m)
-        return hexpack.build_layout(hexes, cell.d_min_m, r_e_min)
 
     def feasible(g_b: float) -> bool:
         interference = hexpack.bs_interference(
-            layout(g_b), cfg.p_due_mw, cfg.pl_bs, r_e_min
+            hexpack.packed_layout(g_d, g_b, cell), cfg.p_due_mw, cfg.pl_bs, r_e_min
         )
         return interference <= cap
 
@@ -196,7 +190,7 @@ def solve_gb(cfg: RadioConfig, cell: CellConfig, g_d: float, tol: float = 1e-3) 
             b = mid
         else:
             a = mid
-    if hexpack.total_pairs(layout(b)) == 0:
+    if hexpack.packed_layout(g_d, b, cell).n_total == 0:
         raise Infeasible(
             "the BS SIR constraint is met only where the ring holds no pair "
             f"(boundary guard radius {b:.3f} m of cell radius {cell.r_cell_m:g} m)"
@@ -204,39 +198,43 @@ def solve_gb(cfg: RadioConfig, cell: CellConfig, g_d: float, tol: float = 1e-3) 
     return b
 
 
-def guard_distances(cfg: RadioConfig, cell: CellConfig) -> GuardDistances:
-    """Solve all three guard radii and derive the disk/ring dimensions."""
-    g_d, n_s = solve_gd(cfg, cell)
-    k = compute_k(cfg, cell)
+def _complete(cfg: RadioConfig, cell: CellConfig, g_d: float, n_s: int) -> GuardDistances:
+    """Solve g_b for a solved g_d and derive the disk and ring dimensions."""
     g_b = solve_gb(cfg, cell, g_d)
+    r_e_min, r_e_max = hexpack.disk_radii(g_d, cell)
     return GuardDistances(
         g_d=g_d,
-        k=k,
+        k=compute_k(cfg, cell),
         g_b=g_b,
         n_s=n_s,
-        r_e_min=(g_d + cell.d_min_m) / 2.0,
-        r_e_max=(g_d + cell.d_max_m) / 2.0,
+        r_e_min=r_e_min,
+        r_e_max=r_e_max,
         r_in=g_b - g_d / 2.0,
         r_out=cell.r_cell_m + g_d / 2.0,
     )
 
 
+def guard_distances(cfg: RadioConfig, cell: CellConfig) -> GuardDistances:
+    """Solve all three guard radii and derive the disk/ring dimensions."""
+    return _complete(cfg, cell, *solve_gd(cfg, cell))
+
+
 def guard_report(cfg: RadioConfig, cell: CellConfig) -> dict:
-    """Guard solution plus solver metadata, as one flat record."""
+    """Guard solution plus solver metadata, as one flat record.
+
+    The radii keep the GuardDistances field order; lengths get an `_m`
+    suffix.
+    """
     g_d, n_s, iterations = _solve_gd_trace(cfg, cell)
-    k = compute_k(cfg, cell)
-    g_b = solve_gb(cfg, cell, g_d)
-    return {
-        "g_d_m": g_d,
-        "k": k,
-        "g_b_m": g_b,
-        "n_s": n_s,
-        "r_e_min_m": (g_d + cell.d_min_m) / 2.0,
-        "r_e_max_m": (g_d + cell.d_max_m) / 2.0,
-        "r_in_m": g_b - g_d / 2.0,
-        "r_out_m": cell.r_cell_m + g_d / 2.0,
-        "gd_iterations": iterations,
-        "noise_mode": cfg.noise_mode,
-        "sir_due": cfg.sir_due,
-        "sir_bs": cfg.sir_bs,
+    gd = _complete(cfg, cell, g_d, n_s)
+    record = {
+        name if name in ("k", "n_s") else f"{name}_m": value
+        for name, value in asdict(gd).items()
     }
+    record.update(
+        gd_iterations=iterations,
+        noise_mode=cfg.noise_mode,
+        sir_due=cfg.sir_due,
+        sir_bs=cfg.sir_bs,
+    )
+    return record

@@ -17,16 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import arc_length
-from .propagation import PathLossModel
+from .propagation import CellConfig, PathLossModel
 
 __all__ = [
     "HexApprox",
     "PackingLayout",
+    "disk_radii",
     "hex_radii",
     "layer_count",
     "layer_pairs",
     "build_layout",
-    "total_pairs",
+    "packed_layout",
     "bs_interference",
     "first_layer_neighbors",
 ]
@@ -62,6 +63,14 @@ class PackingLayout:
     def n_total(self) -> int:
         """Total disk count over the full ring (three symmetric thirds)."""
         return 3 * sum(a + b for a, b in self.per_layer)
+
+
+def disk_radii(g_d: float, cell: CellConfig) -> tuple[float, float]:
+    """Exclusion-disk radii (r_e_min, r_e_max) of the shortest and longest links.
+
+    A pair with link length d claims a disk of radius (d + g_d) / 2.
+    """
+    return (g_d + cell.d_min_m) / 2.0, (g_d + cell.d_max_m) / 2.0
 
 
 def hex_radii(g_b: float, r_cell: float) -> HexApprox:
@@ -121,9 +130,14 @@ def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayou
     return PackingLayout(n_layers=n_l, per_layer=per_layer, kappa=kappa)
 
 
-def total_pairs(layout: PackingLayout) -> int:
-    """Maximum concurrent pairs over the whole ring: 3 * sum of layer counts."""
-    return layout.n_total
+def packed_layout(g_d: float, g_b: float, cell: CellConfig) -> PackingLayout:
+    """Minimum-size disks (radius r_e_min) layered in the ring outside g_b.
+
+    Its `n_total` is the packed pair count the BS guard solver and the
+    packed-count throughput use.
+    """
+    r_e_min, _ = disk_radii(g_d, cell)
+    return build_layout(hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min)
 
 
 def bs_interference(

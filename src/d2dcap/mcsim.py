@@ -69,7 +69,9 @@ class TrialConfig:
     mode is "saturation" or "ppp" (the latter needs `density` in
     nodes/m^2); d2d_dist is "uniform" over the allowed link range or
     "fixed" at `d_fixed` metres.  The seed, together with a trial index,
-    fully determines the trial.
+    fully determines the trial.  The checks below, with `check_cell`, are
+    the sim-option rules; the scenario loader builds its records through
+    them, so the messages name the config fields.
     """
 
     mode: str = "saturation"
@@ -83,8 +85,11 @@ class TrialConfig:
     def __post_init__(self):
         if self.mode not in ("saturation", "ppp"):
             raise ValueError(f"sim.mode must be 'saturation' or 'ppp', got {self.mode!r}")
-        if self.mode == "ppp" and not (self.density is not None and self.density > 0.0):
-            raise ValueError("sim.density must be > 0 in ppp mode")
+        if self.density is None:
+            if self.mode == "ppp":
+                raise ValueError("sim.densities must give a density in ppp mode")
+        elif not self.density > 0.0:
+            raise ValueError(f"sim.densities must all be > 0, got {self.density}")
         if self.d2d_dist not in ("uniform", "fixed"):
             raise ValueError(
                 f"sim.d2d_dist must be 'uniform' or 'fixed', got {self.d2d_dist!r}"
@@ -93,6 +98,15 @@ class TrialConfig:
             raise ValueError("sim.d_fixed is required with d2d_dist='fixed'")
         if self.stop_after_failures < 1:
             raise ValueError("sim.stop_after_failures must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    def check_cell(self, cell: CellConfig) -> None:
+        """The cell-dependent rule: a fixed link length lies in [d_min, d_max]."""
+        if self.d_fixed is not None and not cell.d_min_m <= self.d_fixed <= cell.d_max_m:
+            raise ValueError(
+                f"sim.d_fixed must lie in [{cell.d_min_m}, {cell.d_max_m}], got {self.d_fixed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -190,11 +204,14 @@ class _Arena:
         ok &= np.hypot(cx - self.d_cb, cy) >= self.g_c + half
         return ok
 
-    def clears_accepted(self, cx: float, cy: float, er_radius: float) -> bool:
-        if not self.cx:
-            return True
-        dist = np.hypot(np.asarray(self.cx) - cx, np.asarray(self.cy) - cy)
-        return bool(np.all(dist >= np.asarray(self.radius) + er_radius))
+    def clears_accepted(self, cx, cy, d_d2d):
+        """Clause (d) for a batch of candidates: disks clear of every accepted one.
+
+        Vectorised over the candidates; scalar inputs give a scalar.
+        """
+        dist = np.hypot(np.subtract.outer(cx, self.cx), np.subtract.outer(cy, self.cy))
+        er_radius = 0.5 * (d_d2d + self.gd.g_d)
+        return np.all(dist >= np.add.outer(er_radius, self.radius), axis=-1)
 
     def accept(self, cx: float, cy: float, d_d2d: float, angle: float):
         self.cx.append(cx)
@@ -212,12 +229,7 @@ class _Arena:
 
 def _draw_link_lengths(cfg: TrialConfig, cell: CellConfig, rng, n: int):
     if cfg.d2d_dist == "fixed":
-        d = float(cfg.d_fixed)
-        if not cell.d_min_m <= d <= cell.d_max_m:
-            raise ValueError(
-                f"sim.d_fixed must lie in [{cell.d_min_m}, {cell.d_max_m}], got {d}"
-            )
-        return np.full(n, d)
+        return np.full(n, float(cfg.d_fixed))
     return rng.uniform(cell.d_min_m, cell.d_max_m, n)
 
 
@@ -253,6 +265,7 @@ def run_saturation_trial(
     uniformly; a candidate is accepted iff admissible against everything
     accepted so far.  Deterministic given (cfg.seed, trial_index).
     """
+    cfg.check_cell(cell)
     rng = np.random.default_rng([cfg.seed, trial_index])
     arena = _Arena(gd, cell, cfg.d_cb)
     r_in_sq, r_out_sq = gd.r_in**2, gd.r_out**2
@@ -264,22 +277,14 @@ def run_saturation_trial(
         cy = rho * np.sin(theta)
         dd = _draw_link_lengths(cfg, cell, rng, _CHUNK)
         angle = rng.uniform(0.0, 2.0 * math.pi, _CHUNK)
-        er = 0.5 * (dd + gd.g_d)
         # admissibility against the pre-chunk state, all candidates at once;
-        # disks accepted within this chunk only prune what follows them
-        ok = arena.region_ok(cx, cy, dd)
-        if arena.cx:
-            dist = np.hypot(
-                cx[:, None] - np.asarray(arena.cx), cy[:, None] - np.asarray(arena.cy)
-            )
-            ok &= np.all(dist >= np.asarray(arena.radius) + er[:, None], axis=1)
+        # each disk accepted within the chunk re-prunes what follows it
+        ok = arena.region_ok(cx, cy, dd) & arena.clears_accepted(cx, cy, dd)
         for j in range(_CHUNK):
             if ok[j]:
                 arena.accept(cx[j], cy[j], dd[j], angle[j])
                 failures = 0
-                if j + 1 < _CHUNK:
-                    tail = np.hypot(cx[j + 1 :] - cx[j], cy[j + 1 :] - cy[j])
-                    ok[j + 1 :] &= tail >= er[j + 1 :] + er[j]
+                ok[j + 1 :] &= arena.clears_accepted(cx[j + 1 :], cy[j + 1 :], dd[j + 1 :])
             else:
                 failures += 1
                 if failures >= cfg.stop_after_failures:
@@ -329,8 +334,7 @@ def run_ppp_trial(
             cx = 0.5 * (px[a] + px[b])
             cy = 0.5 * (py[a] + py[b])
             dd = dist[a, b]
-            ok = arena.region_ok(np.asarray(cx), np.asarray(cy), np.asarray(dd))
-            if bool(ok) and arena.clears_accepted(cx, cy, 0.5 * (dd + gd.g_d)):
+            if arena.region_ok(cx, cy, dd) and arena.clears_accepted(cx, cy, dd):
                 arena.accept(cx, cy, dd, math.atan2(py[a] - py[b], px[a] - px[b]))
     return _finish(arena, cfg, radio, cell)
 

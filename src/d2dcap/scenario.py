@@ -14,11 +14,12 @@ artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
 
+from .mcsim import TrialConfig
 from .propagation import CellConfig, PathLossModel, RadioConfig
 
 __all__ = ["ScenarioError", "SweepAxis", "Scenario", "load_scenario", "DEFAULT_YAML"]
@@ -74,7 +75,8 @@ class SweepAxis:
 
 
 _AXIS_NAMES = ("d_cb", "p_due")
-_VERSUS_NAMES = ("p_cue_max", "bitrate")
+#: versus.name -> the RadioConfig field it sets
+_VERSUS_FIELDS = {"p_cue_max": "p_cue_max_mw", "bitrate": "bitrate_bps"}
 
 
 @dataclass
@@ -86,13 +88,11 @@ class Scenario:
     sweep: list[SweepAxis]
     versus_name: str
     versus_values: list[float]
-    sim_mode: str
-    d2d_dist: str
-    d_fixed: float | None
+    # one record per density in ppp mode, a single density-free one in
+    # saturation mode; `simulate` sets d_cb per grid point
+    sims: list[TrialConfig]
     densities: list[float]
-    stop_after_failures: int
     trials: int
-    seed: int
     threads: int
     out: str | None
     fmt: str
@@ -106,6 +106,10 @@ class Scenario:
                 return ax
         return default
 
+    @property
+    def versus_field(self) -> str:
+        return _VERSUS_FIELDS[self.versus_name]
+
     def radio_with(self, **overrides) -> RadioConfig:
         kwargs = dict(self.radio_kwargs)
         kwargs.update(overrides)
@@ -117,7 +121,7 @@ class Scenario:
         Output path, format and thread count are excluded on purpose: the
         emitted bytes must not depend on them.
         """
-        r, c = self.radio, self.cell
+        r, c, sim = self.radio, self.cell, self.sims[0]
         cfg = {
             "radio.bandwidth_hz": r.bandwidth_hz,
             "radio.noise_density_dbm_hz": r.noise_density_dbm_hz,
@@ -139,13 +143,13 @@ class Scenario:
             ),
             "versus.name": self.versus_name,
             "versus.values": ",".join(f"{v:g}" for v in self.versus_values),
-            "sim.mode": self.sim_mode,
-            "sim.d2d_dist": self.d2d_dist,
-            "sim.d_fixed": self.d_fixed,
+            "sim.mode": sim.mode,
+            "sim.d2d_dist": sim.d2d_dist,
+            "sim.d_fixed": sim.d_fixed,
             "sim.densities": ",".join(f"{v:g}" for v in self.densities),
-            "sim.stop_after_failures": self.stop_after_failures,
+            "sim.stop_after_failures": sim.stop_after_failures,
             "trials": self.trials,
-            "seed": self.seed,
+            "seed": sim.seed,
         }
         return cfg
 
@@ -168,12 +172,29 @@ def _integer(value, where: str) -> int:
     return value
 
 
+def _merge(base: dict, user: dict, where: str = "") -> None:
+    """Overlay `user` on the preset mapping `base`, whose keys are the schema.
+
+    Nested mappings merge key by key, so a partial override keeps the
+    preset's other values.
+    """
+    for key, value in user.items():
+        path = f"{where}{key}"
+        if key not in base:
+            raise ScenarioError(f"unknown config key {path}")
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ScenarioError(f"{path} must be a mapping")
+            _merge(base[key], value, f"{path}.")
+        else:
+            base[key] = value
+
+
 def _build_pl(data: dict, where: str) -> PathLossModel:
-    _require(data, ("exponent", "intercept_db"), where)
     try:
         return PathLossModel(
-            exponent=_number(data.get("exponent", 3.76), f"{where}.exponent"),
-            intercept_db=_number(data.get("intercept_db", -38.0), f"{where}.intercept_db"),
+            exponent=_number(data["exponent"], f"{where}.exponent"),
+            intercept_db=_number(data["intercept_db"], f"{where}.intercept_db"),
         )
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
@@ -187,46 +208,20 @@ def _build_radio(kwargs: dict) -> RadioConfig:
 
 
 def _radio_kwargs(data: dict) -> dict:
-    _require(
-        data,
-        (
-            "bandwidth_hz",
-            "noise_density_dbm_hz",
-            "bitrate_bps",
-            "p_cue_max_mw",
-            "p_due_mw",
-            "noise_mode",
-            "sir_due",
-            "sir_bs",
-            "pl_bs",
-            "pl_due",
-        ),
-        "radio",
-    )
     kwargs: dict = {}
-    for name in (
-        "bandwidth_hz",
-        "noise_density_dbm_hz",
-        "bitrate_bps",
-        "p_cue_max_mw",
-        "p_due_mw",
-    ):
-        if name in data:
-            kwargs[name] = _number(data[name], f"radio.{name}")
-    for name in ("sir_due", "sir_bs"):
-        if name in data and data[name] is not None:
-            kwargs[name] = _number(data[name], f"radio.{name}")
-    if "noise_mode" in data:
-        kwargs["noise_mode"] = data["noise_mode"]
-    if "pl_bs" in data:
-        kwargs["pl_bs"] = _build_pl(data["pl_bs"] or {}, "radio.pl_bs")
-    if "pl_due" in data:
-        kwargs["pl_due"] = _build_pl(data["pl_due"] or {}, "radio.pl_due")
+    for name, value in data.items():
+        where = f"radio.{name}"
+        if name in ("pl_bs", "pl_due"):
+            kwargs[name] = _build_pl(value, where)
+        elif name == "noise_mode":
+            kwargs[name] = value
+        elif value is not None or name not in ("sir_due", "sir_bs"):
+            # a null SIR threshold is left to RadioConfig's Shannon default
+            kwargs[name] = _number(value, where)
     return kwargs
 
 
 def _build_cell(data: dict) -> CellConfig:
-    _require(data, ("r_cell_m", "d_min_m", "d_max_m"), "cell")
     kwargs = {k: _number(v, f"cell.{k}") for k, v in data.items()}
     try:
         return CellConfig(**kwargs)
@@ -280,21 +275,7 @@ def load_scenario(
             user = {}
         if not isinstance(user, dict):
             raise ScenarioError("config root must be a mapping")
-        _require(
-            user,
-            ("radio", "cell", "sweep", "versus", "sim", "trials", "seed", "threads", "output"),
-            "config",
-        )
-        for section in ("radio", "cell", "versus", "sim", "output"):
-            if section in user:
-                if not isinstance(user[section], dict):
-                    raise ScenarioError(f"config.{section} must be a mapping")
-                data[section].update(user[section])
-        for scalar in ("trials", "seed", "threads"):
-            if scalar in user:
-                data[scalar] = user[scalar]
-        if "sweep" in user:
-            data["sweep"] = user["sweep"]
+        _merge(data, user)
 
     radio_kwargs = _radio_kwargs(data["radio"])
     radio = _build_radio(radio_kwargs)
@@ -302,46 +283,41 @@ def load_scenario(
     axes = _build_axes(data["sweep"], cell)
 
     versus = data["versus"]
-    _require(versus, ("name", "values"), "versus")
-    versus_name = versus.get("name", "p_cue_max")
-    if versus_name not in _VERSUS_NAMES:
+    versus_name = versus["name"]
+    if versus_name not in _VERSUS_FIELDS:
         raise ScenarioError(
-            f"versus.name must be one of {_VERSUS_NAMES}, got {versus_name!r}"
+            f"versus.name must be one of {tuple(_VERSUS_FIELDS)}, got {versus_name!r}"
         )
-    versus_values = [
-        _number(v, "versus.values") for v in (versus.get("values") or [])
-    ]
+    versus_values = [_number(v, "versus.values") for v in versus["values"] or []]
     if not versus_values:
         raise ScenarioError("versus.values must not be empty")
 
     sim = data["sim"]
-    _require(sim, ("mode", "d2d_dist", "d_fixed", "densities", "stop_after_failures"), "sim")
-    sim_mode = sim.get("mode", "saturation")
-    if sim_mode not in ("saturation", "ppp"):
-        raise ScenarioError(f"sim.mode must be saturation or ppp, got {sim_mode!r}")
-    d2d_dist = sim.get("d2d_dist", "uniform")
-    if d2d_dist not in ("uniform", "fixed"):
-        raise ScenarioError(f"sim.d2d_dist must be uniform or fixed, got {d2d_dist!r}")
-    d_fixed = sim.get("d_fixed")
+    densities = [_number(v, "sim.densities") for v in sim["densities"] or []]
+    d_fixed = sim["d_fixed"]
     if d_fixed is not None:
         d_fixed = _number(d_fixed, "sim.d_fixed")
-        if not cell.d_min_m <= d_fixed <= cell.d_max_m:
-            raise ScenarioError(
-                f"sim.d_fixed must lie in [{cell.d_min_m}, {cell.d_max_m}], got {d_fixed}"
+    stop_after = _integer(sim["stop_after_failures"], "sim.stop_after_failures")
+    seed = seed if seed is not None else _integer(data["seed"], "seed")
+    try:
+        sims = [
+            TrialConfig(
+                mode=sim["mode"],
+                density=density,
+                d2d_dist=sim["d2d_dist"],
+                d_fixed=d_fixed,
+                seed=seed,
+                stop_after_failures=stop_after,
             )
-    elif d2d_dist == "fixed":
-        raise ScenarioError("sim.d_fixed is required when sim.d2d_dist is fixed")
-    densities = [_number(v, "sim.densities") for v in (sim.get("densities") or [])]
-    if sim_mode == "ppp" and not densities:
-        raise ScenarioError("sim.densities must not be empty in ppp mode")
-    if any(v <= 0 for v in densities):
-        raise ScenarioError("sim.densities must all be > 0")
-    stop_after = _integer(sim.get("stop_after_failures", 20000), "sim.stop_after_failures")
-    if stop_after < 1:
-        raise ScenarioError("sim.stop_after_failures must be >= 1")
+            for density in densities or [None]
+        ]
+        sims[0].check_cell(cell)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    if sims[0].mode == "saturation":
+        sims = [replace(sims[0], density=None)]
 
     output = data["output"]
-    _require(output, ("path", "format"), "output")
 
     scenario = Scenario(
         radio=radio,
@@ -349,16 +325,12 @@ def load_scenario(
         sweep=axes,
         versus_name=versus_name,
         versus_values=versus_values,
-        sim_mode=sim_mode,
-        d2d_dist=d2d_dist,
-        d_fixed=d_fixed,
+        sims=sims,
         densities=densities,
-        stop_after_failures=stop_after,
         trials=trials if trials is not None else _integer(data["trials"], "trials"),
-        seed=seed if seed is not None else _integer(data["seed"], "seed"),
         threads=threads if threads is not None else _integer(data["threads"], "threads"),
-        out=out if out is not None else output.get("path"),
-        fmt=fmt if fmt is not None else output.get("format", "csv"),
+        out=out if out is not None else output["path"],
+        fmt=fmt if fmt is not None else output["format"],
         radio_kwargs=radio_kwargs,
     )
     if scenario.trials < 1:
@@ -367,4 +339,18 @@ def load_scenario(
         raise ScenarioError(f"threads must be >= 1, got {scenario.threads}")
     if scenario.fmt not in ("csv", "json"):
         raise ScenarioError(f"output.format must be csv or json, got {scenario.fmt!r}")
+
+    # the sweep command rebuilds the radio at every grid point
+    def check_radio(where: str, **overrides) -> None:
+        try:
+            scenario.radio_with(**overrides)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
+
+    for n, ax in enumerate(axes):
+        if ax.name == "p_due":
+            check_radio(f"sweep[{n}].start", p_due_mw=ax.start)
+            check_radio(f"sweep[{n}].stop", p_due_mw=ax.stop)
+    for value in versus_values:
+        check_radio("versus.values", **{scenario.versus_field: value})
     return scenario

@@ -34,14 +34,8 @@ def packed_throughput(radio: RadioConfig, cell: CellConfig) -> tuple[float, floa
     """(t_upper, g_b, g_d) from the integer packing at the solved radii."""
     g_d, _ = solve_gd(radio, cell)
     g_b = solve_gb(radio, cell, g_d)
-    layout = hexpack.build_layout(
-        hexpack.hex_radii(g_b, cell.r_cell_m), cell.d_min_m, (g_d + cell.d_min_m) / 2.0
-    )
-    return (
-        bounds.packing_upper_bound(hexpack.total_pairs(layout), radio.bitrate_bps),
-        g_b,
-        g_d,
-    )
+    n_pairs = hexpack.packed_layout(g_d, g_b, cell).n_total
+    return bounds.packing_upper_bound(n_pairs, radio.bitrate_bps), g_b, g_d
 
 
 def argmax_plateau(values, grid):
@@ -102,10 +96,7 @@ def test_criterion_02_packing_count_consistency():
     radio = RadioConfig(noise_mode="zero")
     cell = CellConfig()
     gd = guard_distances(radio, cell)
-    layout = hexpack.build_layout(
-        hexpack.hex_radii(gd.g_b, cell.r_cell_m), cell.d_min_m, gd.r_e_min
-    )
-    lattice_count = hexpack.total_pairs(layout)
+    lattice_count = hexpack.packed_layout(gd.g_d, gd.g_b, cell).n_total
     area_count = bounds.pair_capacity(bounds.ring_area(gd), gd.r_e_min)
     deviation = abs(lattice_count - area_count)
     ok = deviation <= 3.0

@@ -213,3 +213,20 @@ def test_deployable_area_rejects_out_of_cell(gd, cell):
         deployable_area(-1.0, gd, cell)
     with pytest.raises(ValueError):
         deployable_area(cell.r_cell_m + 1.0, gd, cell)
+
+
+def test_swallowed_ring_area_clamped_at_zero():
+    # the CUE cut-out covers the whole ring; the double-cross difference
+    # of areas used to round to -1.16e-10 m^2 here
+    radio = RadioConfig(
+        noise_mode="zero",
+        p_due_mw=0.0021825829322329703,
+        p_cue_max_mw=382.63393315194935,
+    )
+    cell = CellConfig(d_max_m=73.81322018937942)
+    gd = guard_distances(radio, cell)
+    area = deployable_area(350.0, gd, cell)
+    assert area.case_label == CASE_DOUBLE_CROSS
+    assert area.area_m2 >= 0.0
+    tb = throughput_bounds(area, gd, cell, radio.bitrate_bps)
+    assert tb.t_upper_bps >= 0.0 and tb.t_lower_bps >= 0.0

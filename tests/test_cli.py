@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from d2dcap.cli import main
 from d2dcap.guard import guard_distances
 from d2dcap.propagation import CellConfig, RadioConfig
+from d2dcap.scenario import load_scenario
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -128,3 +130,58 @@ def test_sweep_columns(tmp_path):
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert rows[0] == "p_due_mw,p_cue_max,g_d_m,g_b_m,t_upper_bps"
     assert len(rows) == 1 + 3 * 2
+
+
+def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
+    cfg = tmp_path / "pl.yaml"
+    cfg.write_text("radio: {pl_bs: {exponent: 3.76}, pl_due: {exponent: 4.0}}\n")
+    scenario = load_scenario(str(cfg))
+    assert scenario.radio.pl_bs.intercept_db == -15.3
+    assert scenario.radio.pl_due.intercept_db == -38.0
+    assert scenario.radio.pl_due.exponent == 4.0
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("sim: {d2d_dist: fixed, d_fixed: 500.0}\n", "sim.d_fixed"),
+        ("sim: {d2d_dist: fixed}\n", "sim.d_fixed"),
+        ("sim: {mode: ppp, densities: []}\n", "sim.densities"),
+        ("sim: {densities: [1.0e-4, -1.0]}\n", "sim.densities"),
+        ("sim: {mode: bogus}\n", "sim.mode"),
+        ("sim: {stop_after_failures: 0}\n", "sim.stop_after_failures"),
+        ("seed: -3\n", "seed"),
+        ("sweep: [{name: p_due, start: -1.0, stop: 1.0, steps: 3}]\n", "sweep[0].start"),
+        ("versus: {name: bitrate, values: [-5.0]}\n", "versus.values"),
+        ("radio: {pl_bs: 3.76}\n", "radio.pl_bs"),
+    ],
+)
+def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    command = "sweep" if text.startswith(("sweep", "versus")) else "simulate"
+    code = main([command, "--config", str(bad), "--trials", "1"])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_2(capsys):
+    assert main(["simulate", "--seed", "-3", "--trials", "1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_sweep_solver_failure_is_nan_row(tmp_path):
+    cfg = tmp_path / "noisy.yaml"
+    cfg.write_text(
+        "radio: {noise_mode: per-hz}\n"
+        "cell: {d_max_m: 60.0}\n"
+        "sweep: [{name: p_due, start: 0.01, stop: 6.0, steps: 3}]\n"
+        "versus: {name: p_cue_max, values: [200.0]}\n"
+    )
+    code, out = run(["sweep", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+    first, *rest = rows[1:]
+    assert first[2:] == ["nan", "nan", "nan"]
+    assert len(rest) == 2
+    assert all(math.isfinite(float(v)) for row in rest for v in row)

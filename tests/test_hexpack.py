@@ -13,7 +13,7 @@ from d2dcap.hexpack import (
     hex_radii,
     layer_count,
     layer_pairs,
-    total_pairs,
+    packed_layout,
 )
 from d2dcap.propagation import PathLossModel
 
@@ -110,8 +110,8 @@ def test_row_counts_differ_by_one_or_two(g_b, d_min, r_e_min):
 
 
 def test_total_pairs_examples():
-    assert total_pairs(PackingLayout(0, (), ())) == 0
-    assert total_pairs(PackingLayout(1, ((2, 3),), (100.0,))) == 15
+    assert PackingLayout(0, (), ()).n_total == 0
+    assert PackingLayout(1, ((2, 3),), (100.0,)).n_total == 15
 
 
 def test_layout_kappa_spacing(gd, cell):
@@ -126,13 +126,14 @@ def test_default_parameter_layer_table(gd, cell):
     hexes = hex_radii(gd.g_b, cell.r_cell_m)
     layout = build_layout(hexes, cell.d_min_m, gd.r_e_min)
     assert layout.per_layer == ((0, 1), (1, 2), (2, 3))
-    assert total_pairs(layout) == 27
+    assert layout.n_total == 27
+    assert packed_layout(gd.g_d, gd.g_b, cell) == layout
 
 
 def test_total_pairs_non_increasing_in_disk_radius(gd, cell):
     hexes = hex_radii(gd.g_b, cell.r_cell_m)
     counts = [
-        total_pairs(build_layout(hexes, cell.d_min_m, r_e))
+        build_layout(hexes, cell.d_min_m, r_e).n_total
         for r_e in np.linspace(40.0, 200.0, 60)
     ]
     assert all(a >= b for a, b in zip(counts, counts[1:]))

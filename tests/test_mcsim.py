@@ -120,10 +120,7 @@ def test_saturation_count_vs_packed_count(radio, cell, gd):
         run_saturation_trial(cfg, radio, cell, gd, trial_index=t).n_pairs
         for t in range(40)
     ]
-    layout = hexpack.build_layout(
-        hexpack.hex_radii(gd.g_b, cell.r_cell_m), cell.d_min_m, gd.r_e_min
-    )
-    ratio = np.mean(counts) / hexpack.total_pairs(layout)
+    ratio = np.mean(counts) / hexpack.packed_layout(gd.g_d, gd.g_b, cell).n_total
     assert 0.55 <= ratio <= 0.75
 
 
@@ -279,3 +276,9 @@ def test_trial_config_validation():
         TrialConfig(d2d_dist="fixed")  # missing d_fixed
     with pytest.raises(ValueError):
         TrialConfig(stop_after_failures=0)
+    with pytest.raises(ValueError):
+        TrialConfig(seed=-1)
+    with pytest.raises(ValueError):
+        TrialConfig(density=-1e-4)
+    with pytest.raises(ValueError, match="sim.d_fixed"):
+        TrialConfig(d2d_dist="fixed", d_fixed=500.0).check_cell(CellConfig())
