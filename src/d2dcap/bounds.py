@@ -3,11 +3,17 @@
 Exclusion-disk centres may use the ring between r_in = g_b - g_d/2 and
 r_out = r_cell + g_d/2 (hard cores stay clear of the BS guard disk and
 inside the cell while the disks themselves overhang by g_d/2).  The CUE
-carves out of that ring a disk of radius k*d_cb - g_d/2 around itself;
-depending on k and d_cb this cut-out can hide inside the central hole,
-cross it, float in the ring interior, leave through the outer boundary,
-or cross both boundaries at once.  The resulting piecewise area S_D drives
-the pair-capacity and throughput bounds.
+carves out of that ring a disk C of radius k*d_cb - g_d/2 around itself.
+Because the inner disk lies inside the outer one, the deployable area is
+one inclusion-exclusion identity for every CUE position,
+
+    S_D = S_R - (|C & D_out| - |C & D_in|),
+
+with exact lens areas from `geometry`.  The paper's five cases (the
+cut-out hides inside the central hole, crosses it, floats in the ring
+interior, leaves through the outer boundary, or crosses both) are kept as
+labels; they classify the geometry but no longer select a formula.  S_D
+drives the pair-capacity and throughput bounds.
 """
 
 from __future__ import annotations
@@ -87,75 +93,49 @@ def ring_area(gd: GuardDistances) -> float:
 
 
 def deployable_area(d_cb: float, gd: GuardDistances, cell: CellConfig) -> DeployableArea:
-    """Piecewise deployable area S_D at CUE-BS distance d_cb.
+    """Deployable area S_D at CUE-BS distance d_cb, with the paper's case.
 
-    Case boundaries are g_b/(1+k) (cut-out still inside the central hole),
-    r_cell/(1+k) (cut-out reaches the outer boundary) and g_b/(1-k)
-    (cut-out clears the central hole; unreachable when k >= 1).  Ties are
-    resolved toward the earlier-listed case; intervals are intersected
-    with [0, r_cell].  Where the cut-out swallows the whole ring the
-    difference of areas can round a hair below zero; the area is clamped
-    at 0.
+    S_D = S_R - (|C & D_out| - |C & D_in|) for every d_cb: the bracket is
+    the part of the cut-out C inside the ring, exactly zero while C hides
+    in the central hole.  Where C swallows the whole ring the two sides
+    cancel only up to rounding (about 1e-10 m^2 either way); the area is
+    clamped at 0.
+
+    The case label is the paper's classification and does not select a
+    formula.  Its boundaries are g_b/(1+k) (cut-out still inside the
+    central hole), r_cell/(1+k) (cut-out reaches the outer boundary) and
+    g_b/(1-k) (cut-out clears the central hole; never reached when k >= 1
+    or k > Kth2).  Ties are resolved toward the earlier-listed case;
+    intervals are intersected with [0, r_cell].
     """
     if not 0.0 <= d_cb <= cell.r_cell_m:
         raise ValueError(f"CUE distance must lie in [0, {cell.r_cell_m}], got {d_cb}")
     k = gd.k
-    g_b = gd.g_b
-    r_in, r_out = gd.r_in, gd.r_out
-    s_r = ring_area(gd)
     r_cue = max(k * d_cb - gd.g_d / 2.0, 0.0)
-    k_th1, k_th2 = k_thresholds(g_b, cell.r_cell_m)
+    cut = intersection_area(gd.r_out, r_cue, d_cb) - intersection_area(gd.r_in, r_cue, d_cb)
+    area = max(ring_area(gd) - cut, 0.0)
 
-    b_hole = g_b / (1.0 + k)
+    k_th1, k_th2 = k_thresholds(gd.g_b, cell.r_cell_m)
+    b_hole = gd.g_b / (1.0 + k)
     b_edge = cell.r_cell_m / (1.0 + k)
-    b_clear = g_b / (1.0 - k) if k < 1.0 else math.inf
-
-    def inner_cross() -> float:
-        return s_r - math.pi * r_cue**2 + intersection_area(r_in, r_cue, d_cb)
-
-    def interior() -> float:
-        return s_r - math.pi * r_cue**2
-
-    def outer_cross() -> float:
-        return s_r - intersection_area(r_out, r_cue, d_cb)
-
-    def double_cross() -> float:
-        return (
-            s_r
-            + intersection_area(r_in, r_cue, d_cb)
-            - intersection_area(r_out, r_cue, d_cb)
-        )
-
-    if k <= k_th1:
-        regime = REGIME_LOW
-        if d_cb <= b_hole:
-            case, area = CASE_FULL_RING, s_r
-        elif d_cb <= b_clear:
-            case, area = CASE_INNER_CROSS, inner_cross()
+    b_clear = gd.g_b / (1.0 - k) if k < 1.0 and k <= k_th2 else math.inf
+    if d_cb <= b_hole:
+        case = CASE_FULL_RING
+    elif k <= k_th1:
+        if d_cb <= b_clear:
+            case = CASE_INNER_CROSS
         elif d_cb <= b_edge:
-            case, area = CASE_INTERIOR, interior()
+            case = CASE_INTERIOR
         else:
-            case, area = CASE_OUTER_CROSS, outer_cross()
-    elif k <= k_th2:
-        regime = REGIME_MID
-        if d_cb <= b_hole:
-            case, area = CASE_FULL_RING, s_r
-        elif d_cb < b_edge:
-            case, area = CASE_INNER_CROSS, inner_cross()
-        elif d_cb < b_clear:
-            case, area = CASE_DOUBLE_CROSS, double_cross()
-        else:
-            case, area = CASE_OUTER_CROSS, outer_cross()
+            case = CASE_OUTER_CROSS
+    elif d_cb < b_edge:
+        case = CASE_INNER_CROSS
+    elif d_cb < b_clear:
+        case = CASE_DOUBLE_CROSS
     else:
-        regime = REGIME_HIGH
-        if d_cb <= b_hole:
-            case, area = CASE_FULL_RING, s_r
-        elif d_cb < b_edge:
-            case, area = CASE_INNER_CROSS, inner_cross()
-        else:
-            case, area = CASE_DOUBLE_CROSS, double_cross()
-
-    return DeployableArea(area_m2=max(area, 0.0), case_label=case, regime=regime)
+        case = CASE_OUTER_CROSS
+    regime = REGIME_LOW if k <= k_th1 else REGIME_MID if k <= k_th2 else REGIME_HIGH
+    return DeployableArea(area_m2=area, case_label=case, regime=regime)
 
 
 def pair_capacity(area, r_e: float) -> float:
@@ -182,10 +162,10 @@ def throughput_bounds(
     lower bound: every pair at the longest (r_e_max).  Both equal
     r_b * pair_capacity at the respective radius.
     """
-    area_m2 = getattr(area, "area_m2", area)
-    upper = 2.0 * r_b * area_m2 / (_SQRT3 * (gd.g_d + cell.d_min_m) ** 2)
-    lower = 2.0 * r_b * area_m2 / (_SQRT3 * (gd.g_d + cell.d_max_m) ** 2)
-    return ThroughputBounds(t_upper_bps=upper, t_lower_bps=lower)
+    return ThroughputBounds(
+        t_upper_bps=r_b * pair_capacity(area, gd.r_e_min),
+        t_lower_bps=r_b * pair_capacity(area, gd.r_e_max),
+    )
 
 
 def packing_upper_bound(n_pairs: int, r_b: float) -> float:

@@ -14,6 +14,7 @@ artifacts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -163,6 +164,8 @@ def _require(mapping: dict, allowed: tuple[str, ...], where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # inf, NaN, or an int beyond float range
+        raise ScenarioError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -176,7 +179,8 @@ def _merge(base: dict, user: dict, where: str = "") -> None:
     """Overlay `user` on the preset mapping `base`, whose keys are the schema.
 
     Nested mappings merge key by key, so a partial override keeps the
-    preset's other values.
+    preset's other values.  Where the preset holds a list the user gives a
+    list or null (an empty list).
     """
     for key, value in user.items():
         path = f"{where}{key}"
@@ -186,8 +190,10 @@ def _merge(base: dict, user: dict, where: str = "") -> None:
             if not isinstance(value, dict):
                 raise ScenarioError(f"{path} must be a mapping")
             _merge(base[key], value, f"{path}.")
-        else:
-            base[key] = value
+            continue
+        if isinstance(base[key], list) and not (value is None or isinstance(value, list)):
+            raise ScenarioError(f"{path} must be a list")
+        base[key] = value
 
 
 def _build_pl(data: dict, where: str) -> PathLossModel:

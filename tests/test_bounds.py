@@ -91,13 +91,16 @@ def test_interior_case_regime_low(cell):
 
 
 def test_case_sequence_all_regimes(cell):
-    expectations = {
-        0.2: (REGIME_LOW, [CASE_FULL_RING, CASE_INNER_CROSS, CASE_INTERIOR, CASE_OUTER_CROSS]),
-        1.0: (REGIME_MID, [CASE_FULL_RING, CASE_INNER_CROSS, CASE_DOUBLE_CROSS]),
-        4.0: (REGIME_HIGH, [CASE_FULL_RING, CASE_INNER_CROSS, CASE_DOUBLE_CROSS]),
-    }
-    for k, (regime, allowed) in expectations.items():
-        gd = synthetic_gd(40.0, k, 150.0, cell)
+    expectations = [
+        (0.2, 150.0, REGIME_LOW, [CASE_FULL_RING, CASE_INNER_CROSS, CASE_INTERIOR, CASE_OUTER_CROSS]),
+        (1.0, 150.0, REGIME_MID, [CASE_FULL_RING, CASE_INNER_CROSS, CASE_DOUBLE_CROSS]),
+        # g_b/(1-k) = 400 m lies inside the cell: the cut-out clears the
+        # central hole again and leaves only through the outer boundary
+        (0.75, 100.0, REGIME_MID, [CASE_FULL_RING, CASE_INNER_CROSS, CASE_DOUBLE_CROSS, CASE_OUTER_CROSS]),
+        (4.0, 150.0, REGIME_HIGH, [CASE_FULL_RING, CASE_INNER_CROSS, CASE_DOUBLE_CROSS]),
+    ]
+    for k, g_b, regime, allowed in expectations:
+        gd = synthetic_gd(40.0, k, g_b, cell)
         seen = []
         for d_cb in np.linspace(0.0, cell.r_cell_m, 201):
             area = deployable_area(float(d_cb), gd, cell)
@@ -110,7 +113,9 @@ def test_case_sequence_all_regimes(cell):
 def test_area_continuous_at_case_boundaries(cell, gd):
     records = [gd] + [
         synthetic_gd(40.0, k, g_b, cell)
-        for k, g_b in ((0.2, 150.0), (0.8, 150.0), (1.0, 150.0), (4.0, 100.0), (0.5, 300.0))
+        for k, g_b in (
+            (0.2, 150.0), (0.8, 150.0), (1.0, 150.0), (4.0, 100.0), (0.5, 300.0), (0.75, 100.0)
+        )
     ]
     eps = 1e-5
     for record in records:
@@ -130,11 +135,21 @@ def test_area_matches_membership_oracle(cell, gd):
     rng = np.random.default_rng(42)
     records = [gd] + [
         synthetic_gd(40.0, k, g_b, cell)
-        for k, g_b in ((0.2, 150.0), (0.9, 200.0), (4.2, 100.0))
+        for k, g_b in ((0.2, 150.0), (0.9, 200.0), (0.75, 100.0), (4.2, 100.0))
     ]
+    visited = set()
     for record in records:
-        for d_cb in rng.uniform(0.0, cell.r_cell_m, 8):
-            area = deployable_area(float(d_cb), record, cell).area_m2
+        # the midpoint of every case interval, then random positions
+        k = record.k
+        edges = [0.0, record.g_b / (1.0 + k), cell.r_cell_m / (1.0 + k), cell.r_cell_m]
+        if k < 1.0:
+            edges.append(record.g_b / (1.0 - k))
+        edges = sorted(b for b in edges if b <= cell.r_cell_m)
+        midpoints = [(a + b) / 2.0 for a, b in zip(edges, edges[1:])]
+        for d_cb in [*midpoints, *rng.uniform(0.0, cell.r_cell_m, 8)]:
+            result = deployable_area(float(d_cb), record, cell)
+            visited.add((result.regime, result.case_label))
+            area = result.area_m2
             estimate, se = mc_deployable_area(float(d_cb), record, 400_000, rng)
             if se == 0.0:
                 # all samples on one side: the analytic value matches up to
@@ -142,6 +157,14 @@ def test_area_matches_membership_oracle(cell, gd):
                 assert area == pytest.approx(estimate, abs=1e-9 * ring_area(record))
             else:
                 assert abs(area - estimate) <= 4.0 * se
+    low = [CASE_FULL_RING, CASE_INNER_CROSS, CASE_INTERIOR, CASE_OUTER_CROSS]
+    mid = [CASE_FULL_RING, CASE_INNER_CROSS, CASE_DOUBLE_CROSS, CASE_OUTER_CROSS]
+    high = [CASE_FULL_RING, CASE_INNER_CROSS, CASE_DOUBLE_CROSS]
+    assert visited == {
+        *((REGIME_LOW, c) for c in low),
+        *((REGIME_MID, c) for c in mid),
+        *((REGIME_HIGH, c) for c in high),
+    }
 
 
 def test_pair_capacity_trivial():

@@ -154,6 +154,18 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("sweep: [{name: p_due, start: -1.0, stop: 1.0, steps: 3}]\n", "sweep[0].start"),
         ("versus: {name: bitrate, values: [-5.0]}\n", "versus.values"),
         ("radio: {pl_bs: 3.76}\n", "radio.pl_bs"),
+        ("radio: {p_cue_max_mw: .inf}\n", "radio.p_cue_max_mw"),
+        ("radio: {sir_due: .inf}\n", "radio.sir_due"),
+        ("radio: {pl_due: {exponent: .inf}}\n", "radio.pl_due.exponent"),
+        ("radio: {p_due_mw: .inf}\n", "radio.p_due_mw"),
+        ("radio: {bitrate_bps: .inf}\n", "radio.bitrate_bps"),
+        ("cell: {r_cell_m: .inf}\n", "cell.r_cell_m"),
+        ("cell: {d_max_m: .nan}\n", "cell.d_max_m"),
+        ("versus: {values: [.inf]}\n", "versus.values"),
+        ("sim: {mode: ppp, densities: [.inf]}\n", "sim.densities"),
+        ("sweep: 5\n", "sweep"),
+        ("versus: {values: 5}\n", "versus.values"),
+        ("sim: {densities: 5}\n", "sim.densities"),
     ],
 )
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
