@@ -31,7 +31,7 @@ rows = []
 print(f"{'d_cb [m]':>9} {'case':>12} {'area [km^2]':>12} {'T_U [Mbit/s]':>13} {'T_L [Mbit/s]':>13}")
 for d_cb in grid:
     area = deployable_area(float(d_cb), gd, cell)
-    tb = throughput_bounds(area, gd, cell, radio.bitrate_bps)
+    tb = throughput_bounds(area, gd, radio.bitrate_bps)
     rows.append((d_cb, area.area_m2, tb.t_upper_bps, tb.t_lower_bps))
     print(
         f"{d_cb:9.0f} {area.case_label:>12} {area.area_m2 / 1e6:12.4f}"

@@ -35,7 +35,7 @@ for point, d_cb in enumerate((0.0, 125.0, 250.0, 375.0, 500.0)):
     cfg = TrialConfig(d_cb=d_cb, seed=2718)
     results = [run_saturation_trial(cfg, radio, cell, gd, point * trials + t) for t in range(trials)]
     stats = aggregate(results)
-    tb = throughput_bounds(deployable_area(d_cb, gd, cell), gd, cell, radio.bitrate_bps)
+    tb = throughput_bounds(deployable_area(d_cb, gd, cell), gd, radio.bitrate_bps)
     curves.append((d_cb, stats["throughput_bps"].mean, tb.t_lower_bps, tb.t_upper_bps))
     print(
         f"{d_cb:9.0f} {stats['n_pairs'].mean:11.2f} {stats['throughput_bps'].mean / 1e6:16.2f}"
@@ -52,7 +52,7 @@ for lam in (4e-5, 8e-5, 12e-5):
 print("\nSIR audit at d_cb = 250 m (design thresholds are worst-case)")
 cfg = TrialConfig(d_cb=250.0, seed=99)
 results = [run_saturation_trial(cfg, radio, cell, gd, t) for t in range(trials)]
-ok = np.mean([r.min_due_sir >= radio.sir_due and r.bs_sir >= radio.sir_bs for r in results])
+ok = np.mean([r.sir_ok for r in results])
 rot = np.mean([r.rotation_ok for r in results])
 print(f"  nominal roles meet both thresholds in {ok:.0%} of trials")
 print(f"  swapped roles meet both thresholds in {rot:.0%} of trials")

@@ -88,8 +88,13 @@ def k_thresholds(g_b: float, r_cell: float) -> tuple[float, float]:
 
 
 def ring_area(gd: GuardDistances) -> float:
-    """Full deployable ring area pi (r_out^2 - r_in^2)."""
-    return math.pi * (gd.r_out**2 - gd.r_in**2)
+    """Full deployable ring area pi (r_out^2 - r_in^2).
+
+    Written as the two full-disk terms that `intersection_area` returns for
+    contained disks, so that a cut-out swallowing the whole ring cancels it
+    exactly.
+    """
+    return math.pi * gd.r_out * gd.r_out - math.pi * gd.r_in * gd.r_in
 
 
 def deployable_area(d_cb: float, gd: GuardDistances, cell: CellConfig) -> DeployableArea:
@@ -97,9 +102,9 @@ def deployable_area(d_cb: float, gd: GuardDistances, cell: CellConfig) -> Deploy
 
     S_D = S_R - (|C & D_out| - |C & D_in|) for every d_cb: the bracket is
     the part of the cut-out C inside the ring, exactly zero while C hides
-    in the central hole.  Where C swallows the whole ring the two sides
-    cancel only up to rounding (about 1e-10 m^2 either way); the area is
-    clamped at 0.
+    in the central hole.  Where C swallows the whole ring both sides are
+    the same two full-disk terms and S_D is exactly 0.  The area is
+    clamped at 0 against rounding in the lens terms.
 
     The case label is the paper's classification and does not select a
     formula.  Its boundaries are g_b/(1+k) (cut-out still inside the
@@ -153,9 +158,7 @@ def pair_capacity(area, r_e: float) -> float:
     return area_m2 / (2.0 * _SQRT3 * r_e**2)
 
 
-def throughput_bounds(
-    area, gd: GuardDistances, cell: CellConfig, r_b: float
-) -> ThroughputBounds:
+def throughput_bounds(area, gd: GuardDistances, r_b: float) -> ThroughputBounds:
     """Aggregate throughput bounds for deployable area `area`.
 
     Upper bound: every pair at the shortest link (disk radius r_e_min);

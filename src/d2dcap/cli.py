@@ -78,7 +78,7 @@ def cmd_bounds(scenario: Scenario) -> tuple[list[str], list[list]]:
     rows = []
     for d_cb in axis.values():
         area = bounds.deployable_area(float(d_cb), gd, scenario.cell)
-        tb = bounds.throughput_bounds(area, gd, scenario.cell, scenario.radio.bitrate_bps)
+        tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
         rows.append(
             [
                 float(d_cb),
@@ -121,27 +121,12 @@ def cmd_sweep(scenario: Scenario) -> tuple[list[str], list[list]]:
 
 
 def _simulate_point(
-    scenario: Scenario, gd, cfg: mcsim.TrialConfig, point_index: int
+    scenario: Scenario, gd, cfg: mcsim.TrialConfig, results: list[mcsim.TrialResult]
 ) -> list:
-    def one(trial: int) -> mcsim.TrialResult:
-        return mcsim.run_trial(
-            cfg, scenario.radio, scenario.cell, gd,
-            trial_index=point_index * scenario.trials + trial,
-        )
-
-    if scenario.threads > 1:
-        with ThreadPoolExecutor(max_workers=scenario.threads) as pool:
-            results = list(pool.map(one, range(scenario.trials)))
-    else:
-        results = [one(t) for t in range(scenario.trials)]
-
+    """One simulate row from the trials of grid point `cfg`."""
     stats = mcsim.aggregate(results)
-    ok = [
-        r.min_due_sir >= scenario.radio.sir_due and r.bs_sir >= scenario.radio.sir_bs
-        for r in results
-    ]
     area = bounds.deployable_area(cfg.d_cb, gd, scenario.cell)
-    tb = bounds.throughput_bounds(area, gd, scenario.cell, scenario.radio.bitrate_bps)
+    tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
     return [
         cfg.d_cb,
         scenario.trials,
@@ -152,7 +137,7 @@ def _simulate_point(
         stats["throughput_bps"].ci_high,
         tb.t_lower_bps,
         tb.t_upper_bps,
-        sum(ok) / len(ok),
+        stats["sir_ok"].mean,
         stats["rotation_ok"].mean,
     ]
 
@@ -161,7 +146,10 @@ def cmd_simulate(scenario: Scenario) -> tuple[list[str], list[list]]:
     """Monte Carlo throughput versus CUE position, with analytic bounds.
 
     In ppp mode every density gets its own pass over the CUE positions
-    and a leading density column.
+    and a leading density column.  All trials of the grid go through one
+    worker pool; trial i of the flattened grid runs grid point
+    i // trials on random stream i, so the bytes do not depend on the
+    worker count.
     """
     gd = guard.guard_distances(scenario.radio, scenario.cell)
     axis = scenario.axis("d_cb", SweepAxis("d_cb", 0.0, 400.0, 5))
@@ -180,11 +168,18 @@ def cmd_simulate(scenario: Scenario) -> tuple[list[str], list[list]]:
         "sir_success_rate",
         "rotation_success_rate",
     ]
-    grid = [(sim, float(d_cb)) for sim in scenario.sims for d_cb in axis.values()]
+    grid = [replace(sim, d_cb=float(d_cb)) for sim in scenario.sims for d_cb in axis.values()]
+    n = scenario.trials
+
+    def trial(i: int) -> mcsim.TrialResult:
+        return mcsim.run_trial(grid[i // n], scenario.radio, scenario.cell, gd, trial_index=i)
+
+    with ThreadPoolExecutor(max_workers=scenario.threads) as pool:
+        results = list(pool.map(trial, range(len(grid) * n)))
     rows = []
-    for point, (sim, d_cb) in enumerate(grid):
-        row = _simulate_point(scenario, gd, replace(sim, d_cb=d_cb), point)
-        rows.append([sim.density] + row if ppp else row)
+    for point, cfg in enumerate(grid):
+        row = _simulate_point(scenario, gd, cfg, results[point * n : (point + 1) * n])
+        rows.append([cfg.density] + row if ppp else row)
     return columns, rows
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "run_trial",
     "evaluate_sir",
     "aggregate",
-    "verify_placements",
 ]
 
 #: Reported SIR when a receiver sees no interference at all; keeps the
@@ -114,8 +113,9 @@ class TrialResult:
     """Measured outcome of one trial.
 
     min_due_sir / bs_sir come from the nominal transmitter/receiver
-    assignment; rotation_ok records whether the placement still meets both
-    SIR thresholds with every pair's roles swapped.
+    assignment, and sir_ok records whether they meet both SIR thresholds;
+    rotation_ok records the same verdict with every pair's roles swapped.
+    A trial without pairs passes both.
     """
 
     n_pairs: int
@@ -123,6 +123,7 @@ class TrialResult:
     min_due_sir: float
     bs_sir: float
     rotation_ok: bool
+    sir_ok: bool
 
 
 @dataclass(frozen=True)
@@ -239,15 +240,19 @@ def _finish(
     placements = arena.placements()
     n = len(placements)
     if n == 0:
-        return TrialResult(0, 0.0, SIR_CAP, SIR_CAP, True)
+        return TrialResult(0, 0.0, SIR_CAP, SIR_CAP, True, True)
+
+    def meets(min_sir: float, bs_sir: float) -> bool:
+        return min_sir >= radio.sir_due and bs_sir >= radio.sir_bs
+
     min_sir, bs_sir = evaluate_sir(placements, radio, cell, cfg.d_cb, rotate=False)
-    rot_sir, rot_bs = evaluate_sir(placements, radio, cell, cfg.d_cb, rotate=True)
     return TrialResult(
         n_pairs=n,
         throughput_bps=n * radio.bitrate_bps,
         min_due_sir=min_sir,
         bs_sir=bs_sir,
-        rotation_ok=(rot_sir >= radio.sir_due and rot_bs >= radio.sir_bs),
+        rotation_ok=meets(*evaluate_sir(placements, radio, cell, cfg.d_cb, rotate=True)),
+        sir_ok=meets(min_sir, bs_sir),
     )
 
 
@@ -403,7 +408,7 @@ def aggregate(results: Sequence[TrialResult]) -> dict[str, MetricStats]:
     """Mean, standard error and 95% interval for each TrialResult metric.
 
     Single-trial batches get a degenerate interval (stderr 0).  rotation_ok
-    is aggregated as a success rate.
+    and sir_ok are aggregated as success rates.
     """
     if not results:
         raise ValueError("aggregate requires at least one trial result")
@@ -413,6 +418,7 @@ def aggregate(results: Sequence[TrialResult]) -> dict[str, MetricStats]:
         "min_due_sir": np.array([r.min_due_sir for r in results], dtype=float),
         "bs_sir": np.array([r.bs_sir for r in results], dtype=float),
         "rotation_ok": np.array([float(r.rotation_ok) for r in results]),
+        "sir_ok": np.array([float(r.sir_ok) for r in results]),
     }
     out: dict[str, MetricStats] = {}
     for name, values in metrics.items():
@@ -425,17 +431,3 @@ def aggregate(results: Sequence[TrialResult]) -> dict[str, MetricStats]:
             ci_high=mean + 1.96 * stderr,
         )
     return out
-
-
-def verify_placements(
-    placements: Sequence[PairPlacement],
-    gd: GuardDistances,
-    cell: CellConfig,
-    d_cb: float,
-) -> bool:
-    """Post-hoc audit: every placement admissible against all the others."""
-    for i, p in enumerate(placements):
-        others = [q for j, q in enumerate(placements) if j != i]
-        if not admissible(p, others, gd, cell, d_cb):
-            return False
-    return True

@@ -103,10 +103,11 @@ def path_loss(model: PathLossModel, d):
     return model.gain(d)
 
 
-# Urban macro defaults: BS link -128.1 dB at 1 km, device link -38 dB at 1 m,
-# both with exponent 3.76.
+# Urban macro defaults: BS link -128.1 dB at 1 km (-15.3 dB at 1 m, written
+# out because from_db_at rounds it to -15.300000000000011 and the preset
+# says -15.3), device link -38 dB at 1 m, both with exponent 3.76.
 def _default_pl_bs() -> PathLossModel:
-    return PathLossModel.from_db_at(1000.0, -128.1, 3.76)
+    return PathLossModel(exponent=3.76, intercept_db=-15.3)
 
 
 def _default_pl_due() -> PathLossModel:

@@ -140,14 +140,14 @@ class Scenario:
             "cell.d_min_m": c.d_min_m,
             "cell.d_max_m": c.d_max_m,
             "sweep": ";".join(
-                f"{a.name}:{a.start:g}:{a.stop:g}:{a.steps}" for a in self.sweep
+                f"{a.name}:{a.start:.9g}:{a.stop:.9g}:{a.steps}" for a in self.sweep
             ),
             "versus.name": self.versus_name,
-            "versus.values": ",".join(f"{v:g}" for v in self.versus_values),
+            "versus.values": ",".join(f"{v:.9g}" for v in self.versus_values),
             "sim.mode": sim.mode,
             "sim.d2d_dist": sim.d2d_dist,
             "sim.d_fixed": sim.d_fixed,
-            "sim.densities": ",".join(f"{v:g}" for v in self.densities),
+            "sim.densities": ",".join(f"{v:.9g}" for v in self.densities),
             "sim.stop_after_failures": sim.stop_after_failures,
             "trials": self.trials,
             "seed": sim.seed,

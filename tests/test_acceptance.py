@@ -218,7 +218,7 @@ def test_criterion_06_throughput_flat_then_decreasing():
     grid = np.linspace(0.0, cell.r_cell_m, 800)
     t_u = [
         bounds.throughput_bounds(
-            bounds.deployable_area(float(d), gd, cell), gd, cell, radio.bitrate_bps
+            bounds.deployable_area(float(d), gd, cell), gd, radio.bitrate_bps
         ).t_upper_bps
         for d in grid
     ]
@@ -259,7 +259,7 @@ def test_criterion_07_simulation_bracketed_by_bounds():
             ]
         )
         tb = bounds.throughput_bounds(
-            bounds.deployable_area(float(d_cb), gd, cell), gd, cell, radio.bitrate_bps
+            bounds.deployable_area(float(d_cb), gd, cell), gd, radio.bitrate_bps
         )
         if tb.t_lower_bps <= mean_tp <= tb.t_upper_bps:
             inside += 1

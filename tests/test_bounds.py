@@ -183,12 +183,12 @@ def test_pair_capacity_accepts_area_record(gd, cell):
 
 
 def test_throughput_bounds_zero_area(gd, cell):
-    tb = throughput_bounds(0.0, gd, cell, 2e6)
+    tb = throughput_bounds(0.0, gd, 2e6)
     assert tb.t_upper_bps == 0.0 and tb.t_lower_bps == 0.0
 
 
 def test_throughput_ratio_identity(gd, cell):
-    tb = throughput_bounds(12345.0, gd, cell, 2e6)
+    tb = throughput_bounds(12345.0, gd, 2e6)
     expected = ((gd.g_d + cell.d_max_m) / (gd.g_d + cell.d_min_m)) ** 2
     assert tb.t_upper_bps / tb.t_lower_bps == pytest.approx(expected, rel=1e-12)
     assert tb.t_lower_bps <= tb.t_upper_bps
@@ -196,7 +196,7 @@ def test_throughput_ratio_identity(gd, cell):
 
 def test_throughput_matches_capacity_definition(gd, cell):
     area = deployable_area(100.0, gd, cell)
-    tb = throughput_bounds(area, gd, cell, 2e6)
+    tb = throughput_bounds(area, gd, 2e6)
     assert tb.t_upper_bps == pytest.approx(
         2e6 * pair_capacity(area, gd.r_e_min), rel=1e-12
     )
@@ -238,18 +238,23 @@ def test_deployable_area_rejects_out_of_cell(gd, cell):
         deployable_area(cell.r_cell_m + 1.0, gd, cell)
 
 
-def test_swallowed_ring_area_clamped_at_zero():
-    # the CUE cut-out covers the whole ring; the double-cross difference
-    # of areas used to round to -1.16e-10 m^2 here
-    radio = RadioConfig(
-        noise_mode="zero",
-        p_due_mw=0.0021825829322329703,
-        p_cue_max_mw=382.63393315194935,
-    )
-    cell = CellConfig(d_max_m=73.81322018937942)
+@pytest.mark.parametrize(
+    "p_due_mw, p_cue_max_mw, d_max_m, d_cb",
+    [
+        # the double-cross difference of areas used to round to -1.16e-10 m^2
+        (0.0021825829322329703, 382.63393315194935, 73.81322018937942, 350.0),
+        # ... and here to +2.33e-10 m^2, which the clamp let through
+        (0.004003909530837493, 351.63982098191025, 146.6217039395001, 200.0),
+    ],
+    ids=["negative-residue", "positive-residue"],
+)
+def test_swallowed_ring_area_clamped_at_zero(p_due_mw, p_cue_max_mw, d_max_m, d_cb):
+    # the CUE cut-out covers the whole ring
+    radio = RadioConfig(noise_mode="zero", p_due_mw=p_due_mw, p_cue_max_mw=p_cue_max_mw)
+    cell = CellConfig(d_max_m=d_max_m)
     gd = guard_distances(radio, cell)
-    area = deployable_area(350.0, gd, cell)
+    area = deployable_area(d_cb, gd, cell)
     assert area.case_label == CASE_DOUBLE_CROSS
-    assert area.area_m2 >= 0.0
-    tb = throughput_bounds(area, gd, cell, radio.bitrate_bps)
-    assert tb.t_upper_bps >= 0.0 and tb.t_lower_bps >= 0.0
+    assert area.area_m2 == 0.0
+    tb = throughput_bounds(area, gd, radio.bitrate_bps)
+    assert tb.t_upper_bps == 0.0 and tb.t_lower_bps == 0.0

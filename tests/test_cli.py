@@ -111,11 +111,22 @@ def test_json_output_structure(tmp_path):
     assert payload["rows"][0]["case"] == "full-ring"
 
 
-def test_simulate_deterministic_across_threads(tmp_path):
-    args = ["simulate", "--config", str(DATA / "small.yaml"), "--trials", "4", "--seed", "5"]
-    _, out_one = run(args + ["--threads", "1"], tmp_path, "t1.csv")
-    _, out_many = run(args + ["--threads", "4"], tmp_path, "t4.csv")
-    assert out_one.read_bytes() == out_many.read_bytes()
+PPP_GRID = (
+    "radio: {noise_mode: zero}\n"
+    "sim: {mode: ppp, densities: [4.0e-5, 1.0e-4]}\n"
+    "sweep: [{name: d_cb, start: 0.0, stop: 400.0, steps: 3}]\n"
+)
+
+
+@pytest.mark.parametrize("config", [None, PPP_GRID], ids=["small", "ppp-grid"])
+def test_simulate_deterministic_across_threads(tmp_path, config):
+    path = DATA / "small.yaml"
+    if config is not None:
+        path = tmp_path / "grid.yaml"
+        path.write_text(config)
+    args = ["simulate", "--config", str(path), "--trials", "4", "--seed", "5"]
+    outs = [run(args + ["--threads", t], tmp_path, f"t{t}.csv")[1] for t in ("1", "2", "4")]
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_sweep_columns(tmp_path):
@@ -130,6 +141,27 @@ def test_sweep_columns(tmp_path):
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert rows[0] == "p_due_mw,p_cue_max,g_d_m,g_b_m,t_upper_bps"
     assert len(rows) == 1 + 3 * 2
+
+
+def test_header_keeps_nine_digits(tmp_path):
+    cfg = tmp_path / "digits.yaml"
+    cfg.write_text(
+        "sweep: [{name: d_cb, start: 237.83123456, stop: 237.83123456, steps: 1}]\n"
+        "versus: {values: [140.123456789]}\n"
+        "sim: {densities: [5.623413251903491e-05]}\n"
+    )
+    code, out = run(["bounds", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    lines = out.read_text().splitlines()
+    header = dict(l[2:].split("=", 1) for l in lines if l.startswith("# "))
+    d_cb = [l for l in lines if not l.startswith("#")][1].split(",")[0]
+    assert header["sweep"] == f"d_cb:{d_cb}:{d_cb}:1" == "d_cb:237.831235:237.831235:1"
+    assert header["versus.values"] == "140.123457"
+    assert header["sim.densities"] == "5.62341325e-05"
+
+
+def test_preset_radio_is_the_library_default():
+    assert load_scenario().radio == RadioConfig(noise_mode="zero")
 
 
 def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
