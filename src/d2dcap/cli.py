@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import bounds, guard, hexpack, mcsim
-from .scenario import Scenario, ScenarioError, SweepAxis, load_scenario
+from .scenario import Scenario, ScenarioError, SweepAxis, format_float, load_scenario
 
 __all__ = ["main"]
 
@@ -33,7 +33,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return format_float(value)
     if value is None:
         return ""
     return str(value)
@@ -46,7 +46,10 @@ def _emit(scenario: Scenario, columns: list[str], rows: list[list]) -> None:
             "config": {k: v for k, v in config.items()},
             "columns": columns,
             "rows": [
-                {col: (f"{v:.9g}" if isinstance(v, float) else v) for col, v in zip(columns, row)}
+                {
+                    col: format_float(v) if isinstance(v, float) else v
+                    for col, v in zip(columns, row)
+                }
                 for row in rows
             ],
         }

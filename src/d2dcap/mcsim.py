@@ -6,7 +6,9 @@ Two deployment modes validate the analytical bounds:
   deployable ring, random link distance and orientation) until a run of
   consecutive rejections signals the ring is jammed;
 * ppp: a Poisson number of nodes scattered in the cell, greedily matched
-  into pairs within the allowed link range, then admitted in random order.
+  into pairs within the allowed link range, then admitted in random order;
+  candidate pairs come from a cell list and the matching runs in rounds,
+  so memory grows with the feasible pair count rather than N^2.
 
 Every accepted pair respects the hard-core rules (inside the cell, clear
 of the BS guard disk and of the CUE cut-out) and disjoint exclusion
@@ -297,6 +299,76 @@ def run_saturation_trial(
     return _finish(arena, cfg, radio, cell)
 
 
+def _feasible_pairs(px, py, d_min: float, d_max: float):
+    """Node pairs a < b with d_min <= |ab| <= d_max, nearest first.
+
+    Nodes are binned on a grid of pitch just over d_max, so every feasible
+    partner of a node sits in its own bin or one of the 8 around it; each
+    bin is joined with itself and with 4 forward neighbours (a half
+    stencil), so no pair is listed twice and nothing of size N x N is
+    built.  Distances are np.hypot(px[a] - px[b], py[a] - py[b]), and ties
+    are broken by a * n + b: the stable order of the full distance matrix
+    scanned row by row above its diagonal.  Returns (a, b, distance).
+    """
+    n = len(px)
+    pitch = d_max * (1.0 + 1e-9)  # rounding cannot push a pair two bins apart
+    ix = ((px - px.min()) / pitch).astype(np.int64)
+    iy = ((py - py.min()) / pitch).astype(np.int64)
+    stride = int(iy.max()) + 2  # a spare, empty column: iy - 1 never wraps a row
+    key = ix * stride + iy
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    pos = np.arange(n)
+    spans = [(pos + 1, np.searchsorted(key, key, side="right"))] + [
+        (np.searchsorted(key, key + off), np.searchsorted(key, key + off, side="right"))
+        for off in (1, stride - 1, stride, stride + 1)
+    ]
+    a_parts, b_parts, d_parts = [], [], []
+    for lo, hi in spans:
+        counts = hi - lo
+        first = np.cumsum(counts) - counts
+        i = order[np.repeat(pos, counts)]
+        j = order[np.repeat(lo - first, counts) + np.arange(len(i))]
+        dx, dy = px[i] - px[j], py[i] - py[j]
+        near = dx * dx + dy * dy <= pitch * pitch
+        a, b = np.minimum(i[near], j[near]), np.maximum(i[near], j[near])
+        d = np.hypot(px[a] - px[b], py[a] - py[b])
+        keep = (d >= d_min) & (d <= d_max)
+        a_parts.append(a[keep])
+        b_parts.append(b[keep])
+        d_parts.append(d[keep])
+    a, b, d = np.concatenate(a_parts), np.concatenate(b_parts), np.concatenate(d_parts)
+    rank = np.argsort(d)
+    d_sorted = d[rank]
+    if np.any(d_sorted[1:] == d_sorted[:-1]):
+        rank = np.lexsort((a * n + b, d))
+    return a[rank], b[rank], d[rank]
+
+
+def _greedy_matching(a, b, n: int):
+    """Indices of the edges a greedy scan in list order would match.
+
+    Edge e ranks above edge f when e < f.  Each round takes every live edge
+    that is the best-ranked live edge at both of its ends ("locally
+    dominant"), then drops the edges touching a matched node; this takes
+    exactly the edges of the sequential greedy scan (Preis, STACS 1999;
+    Manne & Bisseling, PPAM 2007).  Returned ascending, i.e. in scan order.
+    """
+    taken = np.zeros(len(a), dtype=bool)
+    used = np.zeros(n, dtype=bool)
+    live = np.arange(len(a))
+    while len(live):
+        la, lb = a[live], b[live]
+        best = np.full(n, len(a))
+        np.minimum.at(best, la, live)
+        np.minimum.at(best, lb, live)
+        win = (best[la] == live) & (best[lb] == live)
+        taken[live[win]] = True
+        used[la[win]] = used[lb[win]] = True
+        live = live[~(used[la] | used[lb])]
+    return np.flatnonzero(taken)
+
+
 def run_ppp_trial(
     cfg: TrialConfig,
     radio: RadioConfig,
@@ -307,10 +379,12 @@ def run_ppp_trial(
     """Poisson node deployment, greedy pairing, random-order admission.
 
     N ~ Poisson(density * cell area) nodes land uniformly in the cell.
-    Feasible node pairs (link length within [d_min, d_max]) are scanned in
-    ascending-distance order and matched greedily, each node at most once;
-    the matched pairs are then admitted in random order under the same
-    placement rules as saturation mode.
+    Feasible node pairs (link length within [d_min, d_max]) come from a
+    cell list and are matched greedily in ascending-distance order, each
+    node at most once, in rounds of locally dominant pairs; memory grows
+    with the number of feasible pairs, not with N^2.  The matched pairs are
+    then admitted in random order under the same placement rules as
+    saturation mode.
     """
     if cfg.mode != "ppp":
         raise ValueError("run_ppp_trial requires a ppp-mode TrialConfig")
@@ -322,25 +396,19 @@ def run_ppp_trial(
         theta = rng.uniform(0.0, 2.0 * math.pi, n_nodes)
         px = rho * np.cos(theta)
         py = rho * np.sin(theta)
-        dist = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
-        iu, ju = np.triu_indices(n_nodes, k=1)
-        feas = (dist[iu, ju] >= cell.d_min_m) & (dist[iu, ju] <= cell.d_max_m)
-        order = np.argsort(dist[iu, ju][feas], kind="stable")
-        cand_i = iu[feas][order]
-        cand_j = ju[feas][order]
-        used = np.zeros(n_nodes, dtype=bool)
-        matched: list[tuple[int, int]] = []
-        for a, b in zip(cand_i, cand_j):
-            if not used[a] and not used[b]:
-                used[a] = used[b] = True
-                matched.append((int(a), int(b)))
-        for idx in rng.permutation(len(matched)):
-            a, b = matched[idx]
-            cx = 0.5 * (px[a] + px[b])
-            cy = 0.5 * (py[a] + py[b])
-            dd = dist[a, b]
-            if arena.region_ok(cx, cy, dd) and arena.clears_accepted(cx, cy, dd):
-                arena.accept(cx, cy, dd, math.atan2(py[a] - py[b], px[a] - px[b]))
+        a, b, dd = _feasible_pairs(px, py, cell.d_min_m, cell.d_max_m)
+        matched = _greedy_matching(a, b, n_nodes)
+        shuffle = matched[rng.permutation(len(matched))]
+        a, b, dd = a[shuffle], b[shuffle], dd[shuffle]
+        cx = 0.5 * (px[a] + px[b])
+        cy = 0.5 * (py[a] + py[b])
+        # as in saturation mode: each accepted disk re-prunes what follows it
+        ok = arena.region_ok(cx, cy, dd)
+        for j in range(len(ok)):
+            if ok[j]:
+                angle = math.atan2(py[a[j]] - py[b[j]], px[a[j]] - px[b[j]])
+                arena.accept(cx[j], cy[j], dd[j], angle)
+                ok[j + 1 :] &= arena.clears_accepted(cx[j + 1 :], cy[j + 1 :], dd[j + 1 :])
     return _finish(arena, cfg, radio, cell)
 
 

@@ -14,6 +14,8 @@ artifacts.
 
 from __future__ import annotations
 
+import copy
+import functools
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -23,7 +25,14 @@ import yaml
 from .mcsim import TrialConfig
 from .propagation import CellConfig, PathLossModel, RadioConfig
 
-__all__ = ["ScenarioError", "SweepAxis", "Scenario", "load_scenario", "DEFAULT_YAML"]
+__all__ = [
+    "ScenarioError",
+    "SweepAxis",
+    "Scenario",
+    "load_scenario",
+    "format_float",
+    "DEFAULT_YAML",
+]
 
 DEFAULT_YAML = """\
 radio:
@@ -58,6 +67,17 @@ output:
   path: null                # null: stdout
   format: csv               # csv | json
 """
+
+
+def format_float(value: float) -> str:
+    """Text of a float in every artifact: 9 significant digits."""
+    return f"{value:.9g}"
+
+
+@functools.cache
+def _preset() -> dict:
+    """DEFAULT_YAML parsed once per process; callers merge into a deep copy."""
+    return yaml.safe_load(DEFAULT_YAML)
 
 
 class ScenarioError(ValueError):
@@ -140,14 +160,15 @@ class Scenario:
             "cell.d_min_m": c.d_min_m,
             "cell.d_max_m": c.d_max_m,
             "sweep": ";".join(
-                f"{a.name}:{a.start:.9g}:{a.stop:.9g}:{a.steps}" for a in self.sweep
+                f"{a.name}:{format_float(a.start)}:{format_float(a.stop)}:{a.steps}"
+                for a in self.sweep
             ),
             "versus.name": self.versus_name,
-            "versus.values": ",".join(f"{v:.9g}" for v in self.versus_values),
+            "versus.values": ",".join(map(format_float, self.versus_values)),
             "sim.mode": sim.mode,
             "sim.d2d_dist": sim.d2d_dist,
             "sim.d_fixed": sim.d_fixed,
-            "sim.densities": ",".join(f"{v:.9g}" for v in self.densities),
+            "sim.densities": ",".join(map(format_float, self.densities)),
             "sim.stop_after_failures": sim.stop_after_failures,
             "trials": self.trials,
             "seed": sim.seed,
@@ -268,7 +289,7 @@ def load_scenario(
     fmt: str | None = None,
 ) -> Scenario:
     """Build a Scenario from a YAML file (or the built-in preset) plus overrides."""
-    data = yaml.safe_load(DEFAULT_YAML)
+    data = copy.deepcopy(_preset())
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:

@@ -164,6 +164,14 @@ def test_preset_radio_is_the_library_default():
     assert load_scenario().radio == RadioConfig(noise_mode="zero")
 
 
+def test_user_config_leaves_the_cached_preset_untouched(tmp_path):
+    preset = load_scenario()
+    cfg = tmp_path / "over.yaml"
+    cfg.write_text("cell: {d_max_m: 120.0}\nsim: {mode: ppp, densities: [1.0e-3]}\n")
+    assert load_scenario(str(cfg)) != preset
+    assert load_scenario() == preset
+
+
 def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
     cfg = tmp_path / "pl.yaml"
     cfg.write_text("radio: {pl_bs: {exponent: 3.76}, pl_due: {exponent: 4.0}}\n")

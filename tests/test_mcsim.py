@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from d2dcap.mcsim import (
     SIR_CAP,
     PairPlacement,
     TrialConfig,
+    _feasible_pairs,
+    _greedy_matching,
     aggregate,
     admissible,
     evaluate_sir,
@@ -35,6 +38,85 @@ def brute_force_admissible(candidate, accepted, gd, cell, d_cb):
         >= candidate.er_radius + o.er_radius
         for o in accepted
     )
+
+
+def quadratic_pairing(px, py, d_min, d_max):
+    """The former N x N pairing of run_ppp_trial, kept as the oracle.
+
+    Feasible pairs in stable ascending-distance order over the row-major
+    upper triangle of the distance matrix, then one greedy scan.  Returns
+    the ordered candidates (i, j, distance) and the matched (i, j) list.
+    """
+    n = len(px)
+    dist = np.hypot(px[:, None] - px[None, :], py[:, None] - py[None, :])
+    iu, ju = np.triu_indices(n, k=1)
+    feas = (dist[iu, ju] >= d_min) & (dist[iu, ju] <= d_max)
+    order = np.argsort(dist[iu, ju][feas], kind="stable")
+    cand_i, cand_j = iu[feas][order], ju[feas][order]
+    used = np.zeros(n, dtype=bool)
+    matched = []
+    for a, b in zip(cand_i, cand_j):
+        if not used[a] and not used[b]:
+            used[a] = used[b] = True
+            matched.append((int(a), int(b)))
+    return cand_i, cand_j, dist[cand_i, cand_j], matched
+
+
+def _ppp_nodes(density, seed, r_cell=500.0):
+    rng = np.random.default_rng(seed)
+    n = rng.poisson(density * math.pi * r_cell**2)
+    rho = r_cell * np.sqrt(rng.random(n))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    return rho * np.cos(theta), rho * np.sin(theta), 2.0, 150.0
+
+
+def _lattice_nodes(seed):
+    # 250 sites of a 30 x 30 unit lattice: many exactly equal distances
+    sites = np.random.default_rng(seed).choice(900, size=250, replace=False)
+    return (sites // 30).astype(float), (sites % 30).astype(float), 1.0, 4.0
+
+
+def _cluster_nodes():
+    # 60 nodes in a 20 m square, all in one bin, some closer than d_min
+    rng = np.random.default_rng(4)
+    return 100.0 + 20.0 * rng.random(60), -50.0 + 20.0 * rng.random(60), 2.0, 150.0
+
+
+NODE_SETS = {
+    "ppp-4e-05": lambda: _ppp_nodes(4e-5, 1),
+    "ppp-1e-03": lambda: _ppp_nodes(1e-3, 2),
+    "ppp-2e-03": lambda: _ppp_nodes(2e-3, 3),
+    "lattice-0": lambda: _lattice_nodes(0),
+    "lattice-1": lambda: _lattice_nodes(1),
+    "lattice-2": lambda: _lattice_nodes(2),
+    "cluster": _cluster_nodes,
+    "no-feasible-pair": lambda: (np.array([0.0, 200.0]), np.array([0.0, 0.0]), 2.0, 150.0),
+}
+
+
+@pytest.mark.parametrize("name", list(NODE_SETS))
+def test_cell_list_matching_matches_quadratic_oracle(name):
+    px, py, d_min, d_max = NODE_SETS[name]()
+    cand_i, cand_j, cand_d, matched = quadratic_pairing(px, py, d_min, d_max)
+    a, b, d = _feasible_pairs(px, py, d_min, d_max)
+    np.testing.assert_array_equal(a, cand_i)
+    np.testing.assert_array_equal(b, cand_j)
+    np.testing.assert_array_equal(d, cand_d)
+    taken = _greedy_matching(a, b, len(px))
+    assert list(zip(a[taken].tolist(), b[taken].tolist())) == matched
+
+
+def test_ppp_trial_memory_bounded_at_dense_deployment(radio, cell, gd):
+    # about 7,850 nodes: the former N x N float64 matrix alone took ~470 MiB
+    cfg = TrialConfig(mode="ppp", density=1e-2, d_cb=200.0, seed=3)
+    tracemalloc.start()
+    try:
+        res = run_ppp_trial(cfg, radio, cell, gd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_pairs > 0
+    assert peak < 300 * 2**20
 
 
 def test_make_placement_invariants(gd):
