@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .geometry import intersection_area
-from .guard import GuardDistances
+from .guard import GuardDistances, compute_gc
 from .propagation import CellConfig
 
 __all__ = [
@@ -116,7 +116,7 @@ def deployable_area(d_cb: float, gd: GuardDistances, cell: CellConfig) -> Deploy
     if not 0.0 <= d_cb <= cell.r_cell_m:
         raise ValueError(f"CUE distance must lie in [0, {cell.r_cell_m}], got {d_cb}")
     k = gd.k
-    r_cue = max(k * d_cb - gd.g_d / 2.0, 0.0)
+    r_cue = max(compute_gc(k, d_cb) - gd.g_d / 2.0, 0.0)
     cut = intersection_area(gd.r_out, r_cue, d_cb) - intersection_area(gd.r_in, r_cue, d_cb)
     area = max(ring_area(gd) - cut, 0.0)
 

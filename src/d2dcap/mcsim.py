@@ -10,10 +10,11 @@ Two deployment modes validate the analytical bounds:
   candidate pairs come from a cell list and the matching runs in rounds,
   so memory grows with the feasible pair count rather than N^2.
 
-Every accepted pair respects the hard-core rules (inside the cell, clear
-of the BS guard disk and of the CUE cut-out) and disjoint exclusion
-disks.  Explicit SIR evaluation, with optional transmitter/receiver role
-rotation, audits the guard-distance design after the fact.
+Both samplers admit through one kernel, `_Arena.admit`: every accepted
+pair respects the hard-core rules (inside the cell, clear of the BS guard
+disk and of the CUE cut-out) and disjoint exclusion disks.  Explicit SIR
+evaluation, with optional transmitter/receiver role rotation, audits the
+guard-distance design after the fact.
 
 Trials are pure functions of (config, trial index); each derives its own
 random stream, so runs are reproducible and order-independent.
@@ -22,12 +23,12 @@ random stream, so runs are reproducible and order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .guard import GuardDistances
+from .guard import GuardDistances, compute_gc
 from .propagation import CellConfig, RadioConfig, cue_tx_power, path_loss
 
 __all__ = [
@@ -69,10 +70,11 @@ class TrialConfig:
 
     mode is "saturation" or "ppp" (the latter needs `density` in
     nodes/m^2); d2d_dist is "uniform" over the allowed link range or
-    "fixed" at `d_fixed` metres.  The seed, together with a trial index,
-    fully determines the trial.  The checks below, with `check_cell`, are
-    the sim-option rules; the scenario loader builds its records through
-    them, so the messages name the config fields.
+    "fixed" at `d_fixed` metres, in saturation mode only (PPP links are
+    node distances).  The seed, together with a trial index, fully
+    determines the trial.  The checks below, with `check_cell`, are the
+    sim-option rules; the scenario loader builds its records through them,
+    so the messages name the config fields.
     """
 
     mode: str = "saturation"
@@ -95,6 +97,8 @@ class TrialConfig:
             raise ValueError(
                 f"sim.d2d_dist must be 'uniform' or 'fixed', got {self.d2d_dist!r}"
             )
+        if self.mode == "ppp" and self.d2d_dist == "fixed":
+            raise ValueError("sim.d2d_dist must be 'uniform' in ppp mode")
         if self.d2d_dist == "fixed" and self.d_fixed is None:
             raise ValueError("sim.d_fixed is required with d2d_dist='fixed'")
         if self.stop_after_failures < 1:
@@ -175,7 +179,7 @@ def admissible(
         return False
     if rho < gd.g_b + half:
         return False
-    if math.hypot(cx - d_cb, cy) < gd.k * d_cb + half:
+    if math.hypot(cx - d_cb, cy) < compute_gc(gd.k, d_cb) + half:
         return False
     for other in accepted:
         ox, oy = other.er_center
@@ -191,37 +195,47 @@ class _Arena:
         self.gd = gd
         self.cell = cell
         self.d_cb = d_cb
-        self.g_c = gd.k * d_cb
+        self.g_c = compute_gc(gd.k, d_cb)
         self.cx: list[float] = []
         self.cy: list[float] = []
         self.radius: list[float] = []
         self.d_d2d: list[float] = []
         self.angle: list[float] = []
 
-    def region_ok(self, cx, cy, d_d2d):
-        """Clauses (a)-(c) for a batch of candidates (vectorised)."""
+    def clears_accepted(self, cx, cy, d_d2d):
+        """Clause (d) for a batch of candidates: disks clear of every accepted one."""
+        dist = np.hypot(np.subtract.outer(cx, self.cx), np.subtract.outer(cy, self.cy))
+        er_radius = 0.5 * (d_d2d + self.gd.g_d)
+        return np.all(dist >= np.add.outer(er_radius, self.radius), axis=-1)
+
+    def admit(self, cx, cy, d_d2d, angle, failures: int = 0, cap: float = math.inf) -> int:
+        """Admit a batch of candidates in order; return the run of straight rejections.
+
+        Clauses (a)-(d) are checked on the whole batch against the accepted
+        set at once; each acceptance then re-prunes the candidates after
+        it.  `failures` is the rejection run carried in from earlier
+        batches; admission stops as soon as the run reaches `cap`.
+        """
         half = 0.5 * d_d2d
         rho = np.hypot(cx, cy)
         ok = rho + half <= self.cell.r_cell_m
         ok &= rho >= self.gd.g_b + half
         ok &= np.hypot(cx - self.d_cb, cy) >= self.g_c + half
-        return ok
-
-    def clears_accepted(self, cx, cy, d_d2d):
-        """Clause (d) for a batch of candidates: disks clear of every accepted one.
-
-        Vectorised over the candidates; scalar inputs give a scalar.
-        """
-        dist = np.hypot(np.subtract.outer(cx, self.cx), np.subtract.outer(cy, self.cy))
-        er_radius = 0.5 * (d_d2d + self.gd.g_d)
-        return np.all(dist >= np.add.outer(er_radius, self.radius), axis=-1)
-
-    def accept(self, cx: float, cy: float, d_d2d: float, angle: float):
-        self.cx.append(cx)
-        self.cy.append(cy)
-        self.radius.append(0.5 * (d_d2d + self.gd.g_d))
-        self.d_d2d.append(d_d2d)
-        self.angle.append(angle)
+        ok &= self.clears_accepted(cx, cy, d_d2d)
+        for j in range(len(ok)):
+            if ok[j]:
+                self.cx.append(cx[j])
+                self.cy.append(cy[j])
+                self.radius.append(0.5 * (d_d2d[j] + self.gd.g_d))
+                self.d_d2d.append(d_d2d[j])
+                self.angle.append(angle[j])
+                failures = 0
+                ok[j + 1 :] &= self.clears_accepted(cx[j + 1 :], cy[j + 1 :], d_d2d[j + 1 :])
+            else:
+                failures += 1
+                if failures >= cap:
+                    break
+        return failures
 
     def placements(self) -> list[PairPlacement]:
         return [
@@ -272,6 +286,8 @@ def run_saturation_trial(
     uniformly; a candidate is accepted iff admissible against everything
     accepted so far.  Deterministic given (cfg.seed, trial_index).
     """
+    if cfg.mode != "saturation":
+        raise ValueError("run_saturation_trial requires a saturation-mode TrialConfig")
     cfg.check_cell(cell)
     rng = np.random.default_rng([cfg.seed, trial_index])
     arena = _Arena(gd, cell, cfg.d_cb)
@@ -284,18 +300,7 @@ def run_saturation_trial(
         cy = rho * np.sin(theta)
         dd = _draw_link_lengths(cfg, cell, rng, _CHUNK)
         angle = rng.uniform(0.0, 2.0 * math.pi, _CHUNK)
-        # admissibility against the pre-chunk state, all candidates at once;
-        # each disk accepted within the chunk re-prunes what follows it
-        ok = arena.region_ok(cx, cy, dd) & arena.clears_accepted(cx, cy, dd)
-        for j in range(_CHUNK):
-            if ok[j]:
-                arena.accept(cx[j], cy[j], dd[j], angle[j])
-                failures = 0
-                ok[j + 1 :] &= arena.clears_accepted(cx[j + 1 :], cy[j + 1 :], dd[j + 1 :])
-            else:
-                failures += 1
-                if failures >= cfg.stop_after_failures:
-                    break
+        failures = arena.admit(cx, cy, dd, angle, failures, cfg.stop_after_failures)
     return _finish(arena, cfg, radio, cell)
 
 
@@ -402,13 +407,8 @@ def run_ppp_trial(
         a, b, dd = a[shuffle], b[shuffle], dd[shuffle]
         cx = 0.5 * (px[a] + px[b])
         cy = 0.5 * (py[a] + py[b])
-        # as in saturation mode: each accepted disk re-prunes what follows it
-        ok = arena.region_ok(cx, cy, dd)
-        for j in range(len(ok)):
-            if ok[j]:
-                angle = math.atan2(py[a[j]] - py[b[j]], px[a[j]] - px[b[j]])
-                arena.accept(cx[j], cy[j], dd[j], angle)
-                ok[j + 1 :] &= arena.clears_accepted(cx[j + 1 :], cy[j + 1 :], dd[j + 1 :])
+        angle = np.arctan2(py[a] - py[b], px[a] - px[b])
+        arena.admit(cx, cy, dd, angle)
     return _finish(arena, cfg, radio, cell)
 
 
@@ -475,18 +475,14 @@ def evaluate_sir(
 def aggregate(results: Sequence[TrialResult]) -> dict[str, MetricStats]:
     """Mean, standard error and 95% interval for each TrialResult metric.
 
-    Single-trial batches get a degenerate interval (stderr 0).  rotation_ok
-    and sir_ok are aggregated as success rates.
+    Single-trial batches get a degenerate interval (stderr 0).  Boolean
+    verdicts are aggregated as success rates.
     """
     if not results:
         raise ValueError("aggregate requires at least one trial result")
     metrics = {
-        "n_pairs": np.array([r.n_pairs for r in results], dtype=float),
-        "throughput_bps": np.array([r.throughput_bps for r in results], dtype=float),
-        "min_due_sir": np.array([r.min_due_sir for r in results], dtype=float),
-        "bs_sir": np.array([r.bs_sir for r in results], dtype=float),
-        "rotation_ok": np.array([float(r.rotation_ok) for r in results]),
-        "sir_ok": np.array([float(r.sir_ok) for r in results]),
+        f.name: np.array([getattr(r, f.name) for r in results], dtype=float)
+        for f in fields(TrialResult)
     }
     out: dict[str, MetricStats] = {}
     for name, values in metrics.items():

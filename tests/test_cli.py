@@ -206,6 +206,7 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("sweep: 5\n", "sweep"),
         ("versus: {values: 5}\n", "versus.values"),
         ("sim: {densities: 5}\n", "sim.densities"),
+        ("sim: {mode: ppp, d2d_dist: fixed, d_fixed: 50.0, densities: [1.0e-4]}\n", "sim.d2d_dist"),
     ],
 )
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):

@@ -221,6 +221,42 @@ def test_trials_pass_posthoc_audit(radio, cell, gd):
             assert admissible(p, others, gd, cell, d_cb)
 
 
+@pytest.mark.parametrize("density", [1e-4, 1e-3])
+def test_ppp_trials_pass_posthoc_audit(radio, cell, gd, density):
+    # replay the nodes, pair them with the quadratic oracle, admit with `admissible`
+    for seed, d_cb in ((7, 0.0), (8, 200.0), (9, 450.0)):
+        cfg = TrialConfig(mode="ppp", density=density, d_cb=d_cb, seed=seed)
+        res = run_ppp_trial(cfg, radio, cell, gd)
+        assert res.n_pairs > 0
+        placements = _replay_ppp_placements(cfg, cell, gd)
+        assert len(placements) == res.n_pairs
+        assert evaluate_sir(placements, radio, cell, d_cb) == pytest.approx(
+            (res.min_due_sir, res.bs_sir), rel=1e-9
+        )
+        for i, p in enumerate(placements):
+            others = placements[:i] + placements[i + 1 :]
+            assert admissible(p, others, gd, cell, d_cb)
+
+
+def _replay_ppp_placements(cfg, cell, gd):
+    """Rebuild the accepted set of a PPP trial from its random stream."""
+    rng = np.random.default_rng([cfg.seed, 0])
+    n = int(rng.poisson(cfg.density * math.pi * cell.r_cell_m**2))
+    rho = cell.r_cell_m * np.sqrt(rng.random(n))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    px, py = rho * np.cos(theta), rho * np.sin(theta)
+    *_, matched = quadratic_pairing(px, py, cell.d_min_m, cell.d_max_m)
+    placements = []
+    for k in rng.permutation(len(matched)):
+        a, b = matched[k]
+        dx, dy = float(px[a] - px[b]), float(py[a] - py[b])
+        center = (float(0.5 * (px[a] + px[b])), float(0.5 * (py[a] + py[b])))
+        candidate = make_placement(center, math.hypot(dx, dy), math.atan2(dy, dx), gd.g_d)
+        if admissible(candidate, placements, gd, cell, cfg.d_cb):
+            placements.append(candidate)
+    return placements
+
+
 def _replay_placements(cfg, radio, cell, gd):
     """Rebuild the accepted set of a saturation trial via the public API."""
     rng = np.random.default_rng([cfg.seed, 0])
@@ -347,6 +383,13 @@ def test_ppp_sparse_and_dense(radio, cell, gd):
     assert np.mean(dense) > np.mean(sparse) + 3.0
 
 
+def test_samplers_reject_the_other_mode(radio, cell, gd):
+    with pytest.raises(ValueError, match="saturation-mode"):
+        run_saturation_trial(TrialConfig(mode="ppp", density=1e-4), radio, cell, gd)
+    with pytest.raises(ValueError, match="ppp-mode"):
+        run_ppp_trial(TrialConfig(), radio, cell, gd)
+
+
 def test_aggregate_statistics():
     from d2dcap.mcsim import TrialResult
 
@@ -380,3 +423,5 @@ def test_trial_config_validation():
         TrialConfig(density=-1e-4)
     with pytest.raises(ValueError, match="sim.d_fixed"):
         TrialConfig(d2d_dist="fixed", d_fixed=500.0).check_cell(CellConfig())
+    with pytest.raises(ValueError, match="sim.d2d_dist"):
+        TrialConfig(mode="ppp", density=1e-4, d2d_dist="fixed", d_fixed=50.0)
