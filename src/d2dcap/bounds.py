@@ -14,6 +14,13 @@ cut-out hides inside the central hole, crosses it, floats in the ring
 interior, leaves through the outer boundary, or crosses both) are kept as
 labels; they classify the geometry but no longer select a formula.  S_D
 drives the pair-capacity and throughput bounds.
+
+The simulator (`mcsim`) admits a pair of link length d only with its
+centre in [g_b + d/2, r_cell - d/2] and at least k*d_cb + d/2 from the CUE:
+its hard core, not its exclusion disk, must clear the guard disks and stay
+in the cell.  That region lies inside the one credited above, so the bounds
+side is the looser one; acceptance criterion 7 checks that the simulated
+mean still falls between the bounds, closer to the lower one.
 """
 
 from __future__ import annotations

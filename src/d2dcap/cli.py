@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import bounds, guard, hexpack, mcsim
@@ -60,8 +59,11 @@ def _emit(scenario: Scenario, columns: list[str], rows: list[list]) -> None:
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     if scenario.out:
-        with open(scenario.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(scenario.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"output.path: cannot write {scenario.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -123,36 +125,13 @@ def cmd_sweep(scenario: Scenario) -> tuple[list[str], list[list]]:
     return ["p_due_mw", scenario.versus_name, "g_d_m", "g_b_m", "t_upper_bps"], rows
 
 
-def _simulate_point(
-    scenario: Scenario, gd, cfg: mcsim.TrialConfig, results: list[mcsim.TrialResult]
-) -> list:
-    """One simulate row from the trials of grid point `cfg`."""
-    stats = mcsim.aggregate(results)
-    area = bounds.deployable_area(cfg.d_cb, gd, scenario.cell)
-    tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
-    return [
-        cfg.d_cb,
-        scenario.trials,
-        stats["n_pairs"].mean,
-        stats["throughput_bps"].mean,
-        stats["throughput_bps"].stderr,
-        stats["throughput_bps"].ci_low,
-        stats["throughput_bps"].ci_high,
-        tb.t_lower_bps,
-        tb.t_upper_bps,
-        stats["sir_ok"].mean,
-        stats["rotation_ok"].mean,
-    ]
-
-
 def cmd_simulate(scenario: Scenario) -> tuple[list[str], list[list]]:
     """Monte Carlo throughput versus CUE position, with analytic bounds.
 
     In ppp mode every density gets its own pass over the CUE positions
-    and a leading density column.  All trials of the grid go through one
-    worker pool; trial i of the flattened grid runs grid point
-    i // trials on random stream i, so the bytes do not depend on the
-    worker count.
+    and a leading density column.  Trials run one after another in the
+    calling thread; trial t of grid point p runs on random stream
+    p * trials + t.
     """
     gd = guard.guard_distances(scenario.radio, scenario.cell)
     axis = scenario.axis("d_cb", SweepAxis("d_cb", 0.0, 400.0, 5))
@@ -171,18 +150,35 @@ def cmd_simulate(scenario: Scenario) -> tuple[list[str], list[list]]:
         "sir_success_rate",
         "rotation_success_rate",
     ]
-    grid = [replace(sim, d_cb=float(d_cb)) for sim in scenario.sims for d_cb in axis.values()]
     n = scenario.trials
-
-    def trial(i: int) -> mcsim.TrialResult:
-        return mcsim.run_trial(grid[i // n], scenario.radio, scenario.cell, gd, trial_index=i)
-
-    with ThreadPoolExecutor(max_workers=scenario.threads) as pool:
-        results = list(pool.map(trial, range(len(grid) * n)))
+    grid = (replace(sim, d_cb=float(d_cb)) for sim in scenario.sims for d_cb in axis.values())
     rows = []
     for point, cfg in enumerate(grid):
-        row = _simulate_point(scenario, gd, cfg, results[point * n : (point + 1) * n])
-        rows.append([cfg.density] + row if ppp else row)
+        stats = mcsim.aggregate(
+            [
+                mcsim.run_trial(cfg, scenario.radio, scenario.cell, gd, trial_index=point * n + t)
+                for t in range(n)
+            ]
+        )
+        area = bounds.deployable_area(cfg.d_cb, gd, scenario.cell)
+        tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
+        tput = stats["throughput_bps"]
+        rows.append(
+            ([cfg.density] if ppp else [])
+            + [
+                cfg.d_cb,
+                n,
+                stats["n_pairs"].mean,
+                tput.mean,
+                tput.stderr,
+                tput.ci_low,
+                tput.ci_high,
+                tb.t_lower_bps,
+                tb.t_upper_bps,
+                stats["sir_ok"].mean,
+                stats["rotation_ok"].mean,
+            ]
+        )
     return columns, rows
 
 
@@ -215,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), help="output format")
         p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--trials", type=int, help="trials per grid point")
-        p.add_argument("--threads", type=int, help="worker threads for trials")
+        p.add_argument("--threads", type=int, help="ignored: trials run in the calling thread")
     return parser
 
 
@@ -223,22 +219,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = load_scenario(
-            args.config,
-            seed=args.seed,
-            trials=args.trials,
-            threads=args.threads,
-            out=args.out,
-            fmt=args.format,
+            args.config, seed=args.seed, trials=args.trials, out=args.out, fmt=args.format
         )
+        columns, rows = _COMMANDS[args.command](scenario)
+        _emit(scenario, columns, rows)
     except ScenarioError as exc:
         print(f"d2dcap: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        columns, rows = _COMMANDS[args.command](scenario)
     except _SOLVER_FAILURES as exc:
         print(f"d2dcap: solver gave up: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _emit(scenario, columns, rows)
     return EXIT_OK
 
 

@@ -142,7 +142,12 @@ class RadioConfig:
             raise ValueError(
                 f"radio.noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}"
             )
-        default_sir = shannon_sir_threshold(self.bitrate_bps, self.bandwidth_hz)
+        try:
+            default_sir = shannon_sir_threshold(self.bitrate_bps, self.bandwidth_hz)
+        except OverflowError:
+            raise ValueError(
+                f"radio.bitrate_bps={self.bitrate_bps} overflows its Shannon SIR threshold"
+            ) from None
         if self.sir_due is None:
             object.__setattr__(self, "sir_due", default_sir)
         if self.sir_bs is None:

@@ -62,7 +62,6 @@ sim:
   stop_after_failures: 20000
 trials: 200
 seed: 1
-threads: 1
 output:
   path: null                # null: stdout
   format: csv               # csv | json
@@ -114,7 +113,6 @@ class Scenario:
     sims: list[TrialConfig]
     densities: list[float]
     trials: int
-    threads: int
     out: str | None
     fmt: str
     # raw keyword dicts kept so sweeps can rebuild configs with re-derived
@@ -139,8 +137,8 @@ class Scenario:
     def resolved_config(self) -> dict:
         """Flat, ordered view of everything that determines the results.
 
-        Output path, format and thread count are excluded on purpose: the
-        emitted bytes must not depend on them.
+        Output path and format are excluded on purpose: the emitted bytes
+        must not depend on them.
         """
         r, c, sim = self.radio, self.cell, self.sims[0]
         cfg = {
@@ -284,7 +282,6 @@ def load_scenario(
     *,
     seed: int | None = None,
     trials: int | None = None,
-    threads: int | None = None,
     out: str | None = None,
     fmt: str | None = None,
 ) -> Scenario:
@@ -355,15 +352,12 @@ def load_scenario(
         sims=sims,
         densities=densities,
         trials=trials if trials is not None else _integer(data["trials"], "trials"),
-        threads=threads if threads is not None else _integer(data["threads"], "threads"),
         out=out if out is not None else output["path"],
         fmt=fmt if fmt is not None else output["format"],
         radio_kwargs=radio_kwargs,
     )
     if scenario.trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {scenario.trials}")
-    if scenario.threads < 1:
-        raise ScenarioError(f"threads must be >= 1, got {scenario.threads}")
     if scenario.fmt not in ("csv", "json"):
         raise ScenarioError(f"output.format must be csv or json, got {scenario.fmt!r}")
 

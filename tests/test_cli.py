@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import threading
 from pathlib import Path
 
 import pytest
 
+from d2dcap import mcsim
 from d2dcap.cli import main
 from d2dcap.guard import guard_distances
 from d2dcap.propagation import CellConfig, RadioConfig
@@ -129,6 +131,23 @@ def test_simulate_deterministic_across_threads(tmp_path, config):
     assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
+def test_simulate_runs_trials_in_calling_thread_in_stream_order(tmp_path, monkeypatch):
+    calls = []
+    real = mcsim.run_trial
+
+    def spy(*args, trial_index):
+        calls.append((threading.get_ident(), trial_index))
+        return real(*args, trial_index=trial_index)
+
+    monkeypatch.setattr(mcsim, "run_trial", spy)
+    args = ["simulate", "--config", str(DATA / "small.yaml"), "--trials", "2", "--threads", "4"]
+    code, _ = run(args, tmp_path)
+    assert code == 0
+    points = 5  # the d_cb axis of small.yaml
+    assert [thread for thread, _ in calls] == [threading.get_ident()] * (points * 2)
+    assert [index for _, index in calls] == list(range(points * 2))
+
+
 def test_sweep_columns(tmp_path):
     cfg = tmp_path / "sweep.yaml"
     cfg.write_text(
@@ -207,6 +226,9 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("versus: {values: 5}\n", "versus.values"),
         ("sim: {densities: 5}\n", "sim.densities"),
         ("sim: {mode: ppp, d2d_dist: fixed, d_fixed: 50.0, densities: [1.0e-4]}\n", "sim.d2d_dist"),
+        ("radio: {bitrate_bps: 1.0e+10}\n", "radio.bitrate_bps"),
+        ("versus: {name: bitrate, values: [1.0e+10]}\n", "versus.values"),
+        ("threads: 2\n", "threads"),
     ],
 )
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
@@ -221,6 +243,12 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
 def test_negative_seed_flag_exits_2(capsys):
     assert main(["simulate", "--seed", "-3", "--trials", "1"]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2_naming_output_path(tmp_path, capsys):
+    code, _ = run(["guard"], tmp_path / "missing", "x.csv")
+    assert code == 2
+    assert "output.path" in capsys.readouterr().err
 
 
 def test_sweep_solver_failure_is_nan_row(tmp_path):
