@@ -140,7 +140,7 @@ def deployable_area(d_cb: float, gd: GuardDistances, cell: CellConfig) -> Deploy
             case = CASE_INTERIOR
         else:
             case = CASE_OUTER_CROSS
-    elif d_cb < b_edge:
+    elif d_cb <= b_edge:
         case = CASE_INNER_CROSS
     elif d_cb < b_clear:
         case = CASE_DOUBLE_CROSS

@@ -10,6 +10,7 @@ any row can be reproduced from the file alone.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -38,66 +39,72 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(scenario: Scenario, columns: list[str], rows: list[list]) -> None:
+def _cannot_write(path: str | None, exc: OSError) -> ScenarioError:
+    return ScenarioError(f"output.path: cannot write {path or 'stdout'}: {exc}")
+
+
+def _open_out(path: str | None):
+    """The artifact's destination, opened before any work as a shell redirect is."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
+def _emit(scenario: Scenario, rows: list[dict], fh) -> None:
+    """Write the rows to `fh`; the first row's keys are the columns."""
     config = scenario.resolved_config()
     if scenario.fmt == "json":
         payload = {
-            "config": {k: v for k, v in config.items()},
-            "columns": columns,
+            "config": config,
+            "columns": list(rows[0]),
             "rows": [
-                {
-                    col: format_float(v) if isinstance(v, float) else v
-                    for col, v in zip(columns, row)
-                }
+                {col: format_float(v) if isinstance(v, float) else v for col, v in row.items()}
                 for row in rows
             ],
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [f"# {key}={_fmt(val)}" for key, val in config.items()]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.append(",".join(rows[0]))
+        lines.extend(",".join(map(_fmt, row.values())) for row in rows)
         text = "\n".join(lines) + "\n"
-    if scenario.out:
-        try:
-            with open(scenario.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ScenarioError(f"output.path: cannot write {scenario.out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    try:
+        fh.write(text)
+        fh.flush()
+    except OSError as exc:
+        raise _cannot_write(scenario.out, exc) from exc
 
 
-def cmd_guard(scenario: Scenario) -> tuple[list[str], list[list]]:
-    """Solve the guard radii once and emit the full record."""
-    report = guard.guard_report(scenario.radio, scenario.cell)
-    return list(report.keys()), [list(report.values())]
+def cmd_guard(scenario: Scenario) -> list[dict]:
+    """Solve the guard radii once: one row, the full record."""
+    return [guard.guard_report(scenario.radio, scenario.cell)]
 
 
-def cmd_bounds(scenario: Scenario) -> tuple[list[str], list[list]]:
+def cmd_bounds(scenario: Scenario) -> list[dict]:
     """Deployable area and throughput bounds over a CUE-position sweep."""
     gd = guard.guard_distances(scenario.radio, scenario.cell)
-    axis = scenario.axis(
-        "d_cb", SweepAxis("d_cb", 0.0, scenario.cell.r_cell_m, 101)
-    )
+    axis = scenario.axis("d_cb", SweepAxis("d_cb", 0.0, scenario.cell.r_cell_m, 101))
     rows = []
     for d_cb in axis.values():
         area = bounds.deployable_area(float(d_cb), gd, scenario.cell)
         tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
         rows.append(
-            [
-                float(d_cb),
-                area.area_m2,
-                area.case_label,
-                area.regime,
-                tb.t_upper_bps,
-                tb.t_lower_bps,
-            ]
+            {
+                "d_cb_m": float(d_cb),
+                "s_d_m2": area.area_m2,
+                "case": area.case_label,
+                "regime": area.regime,
+                "t_upper_bps": tb.t_upper_bps,
+                "t_lower_bps": tb.t_lower_bps,
+            }
         )
-    return ["d_cb_m", "s_d_m2", "case", "regime", "t_upper_bps", "t_lower_bps"], rows
+    return rows
 
 
-def cmd_sweep(scenario: Scenario) -> tuple[list[str], list[list]]:
+def cmd_sweep(scenario: Scenario) -> list[dict]:
     """Guard radii and packed-count throughput over a DUE-power grid.
 
     The second axis is either the maximum CUE power or the bit rate.
@@ -121,11 +128,19 @@ def cmd_sweep(scenario: Scenario) -> tuple[list[str], list[list]]:
                 )
             except _SOLVER_FAILURES:
                 pass
-            rows.append([float(p_due), float(versus_value), g_d, g_b, t_upper])
-    return ["p_due_mw", scenario.versus_name, "g_d_m", "g_b_m", "t_upper_bps"], rows
+            rows.append(
+                {
+                    "p_due_mw": float(p_due),
+                    scenario.versus_name: float(versus_value),
+                    "g_d_m": g_d,
+                    "g_b_m": g_b,
+                    "t_upper_bps": t_upper,
+                }
+            )
+    return rows
 
 
-def cmd_simulate(scenario: Scenario) -> tuple[list[str], list[list]]:
+def cmd_simulate(scenario: Scenario) -> list[dict]:
     """Monte Carlo throughput versus CUE position, with analytic bounds.
 
     In ppp mode every density gets its own pass over the CUE positions
@@ -135,21 +150,6 @@ def cmd_simulate(scenario: Scenario) -> tuple[list[str], list[list]]:
     """
     gd = guard.guard_distances(scenario.radio, scenario.cell)
     axis = scenario.axis("d_cb", SweepAxis("d_cb", 0.0, 400.0, 5))
-    ppp = scenario.sims[0].mode == "ppp"
-    columns = ["density_per_m2"] if ppp else []
-    columns += [
-        "d_cb_m",
-        "trials",
-        "mean_pairs",
-        "mean_throughput_bps",
-        "stderr_throughput_bps",
-        "ci95_low_bps",
-        "ci95_high_bps",
-        "t_lower_bps",
-        "t_upper_bps",
-        "sir_success_rate",
-        "rotation_success_rate",
-    ]
     n = scenario.trials
     grid = (replace(sim, d_cb=float(d_cb)) for sim in scenario.sims for d_cb in axis.values())
     rows = []
@@ -163,31 +163,25 @@ def cmd_simulate(scenario: Scenario) -> tuple[list[str], list[list]]:
         area = bounds.deployable_area(cfg.d_cb, gd, scenario.cell)
         tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
         tput = stats["throughput_bps"]
-        rows.append(
-            ([cfg.density] if ppp else [])
-            + [
-                cfg.d_cb,
-                n,
-                stats["n_pairs"].mean,
-                tput.mean,
-                tput.stderr,
-                tput.ci_low,
-                tput.ci_high,
-                tb.t_lower_bps,
-                tb.t_upper_bps,
-                stats["sir_ok"].mean,
-                stats["rotation_ok"].mean,
-            ]
+        row = {"density_per_m2": cfg.density} if cfg.mode == "ppp" else {}
+        row.update(
+            d_cb_m=cfg.d_cb,
+            trials=n,
+            mean_pairs=stats["n_pairs"].mean,
+            mean_throughput_bps=tput.mean,
+            stderr_throughput_bps=tput.stderr,
+            ci95_low_bps=tput.ci_low,
+            ci95_high_bps=tput.ci_high,
+            t_lower_bps=tb.t_lower_bps,
+            t_upper_bps=tb.t_upper_bps,
+            sir_success_rate=stats["sir_ok"].mean,
+            rotation_success_rate=stats["rotation_ok"].mean,
         )
-    return columns, rows
+        rows.append(row)
+    return rows
 
 
-_COMMANDS = {
-    "guard": cmd_guard,
-    "bounds": cmd_bounds,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
-}
+_COMMANDS = {"guard": cmd_guard, "bounds": cmd_bounds, "sweep": cmd_sweep, "simulate": cmd_simulate}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -221,8 +215,8 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario(
             args.config, seed=args.seed, trials=args.trials, out=args.out, fmt=args.format
         )
-        columns, rows = _COMMANDS[args.command](scenario)
-        _emit(scenario, columns, rows)
+        with _open_out(scenario.out) as fh:
+            _emit(scenario, _COMMANDS[args.command](scenario), fh)
     except ScenarioError as exc:
         print(f"d2dcap: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

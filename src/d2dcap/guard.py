@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 
+GD_MAX_ITER = 64  # neighbour-count / guard-distance alternations before NonConvergent
+GB_TOL_M = 1e-3  # width (m) of the final bisection bracket of the BS guard radius
+
+
 class NoiseLimited(ArithmeticError):
     """The target bit rate is unreachable at d_max even without interference."""
 
@@ -96,7 +100,7 @@ def pair_guard_for_neighbors(cfg: RadioConfig, cell: CellConfig, n_s: int) -> fl
     return cell.d_max_m * (numer / denom) ** (1.0 / alpha)
 
 
-def solve_gd(cfg: RadioConfig, cell: CellConfig, max_iter: int = 64) -> tuple[float, int]:
+def solve_gd(cfg: RadioConfig, cell: CellConfig) -> tuple[float, int]:
     """Fixed point of the coupled pair-guard / neighbour-count system.
 
     Starting from n_s = 6 (the equal-disk kissing number), alternate the
@@ -104,21 +108,19 @@ def solve_gd(cfg: RadioConfig, cell: CellConfig, max_iter: int = 64) -> tuple[fl
     that distance until n_s repeats.  A cycle through previously seen
     counts is resolved conservatively by taking its largest member (larger
     n_s means a longer guard distance).  Raises NonConvergent after
-    `max_iter` alternations, NoiseLimited if the rate is unreachable.
+    GD_MAX_ITER alternations, NoiseLimited if the rate is unreachable.
     """
-    g_d, n_s, _ = _solve_gd_trace(cfg, cell, max_iter)
+    g_d, n_s, _ = _solve_gd_trace(cfg, cell)
     return g_d, n_s
 
 
-def _solve_gd_trace(
-    cfg: RadioConfig, cell: CellConfig, max_iter: int = 64
-) -> tuple[float, int, int]:
+def _solve_gd_trace(cfg: RadioConfig, cell: CellConfig) -> tuple[float, int, int]:
     def neighbors_for(g_d: float) -> int:
         return hexpack.first_layer_neighbors(g_d, *hexpack.disk_radii(g_d, cell))
 
     n_s = 6
     seen: list[int] = []
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, GD_MAX_ITER + 1):
         g_d = pair_guard_for_neighbors(cfg, cell, n_s)
         n_next = neighbors_for(g_d)
         if n_next == n_s:
@@ -130,7 +132,7 @@ def _solve_gd_trace(
         seen.append(n_s)
         n_s = n_next
     raise NonConvergent(
-        f"no neighbour-count fixed point within {max_iter} iterations (last n_s={n_s})"
+        f"no neighbour-count fixed point within {GD_MAX_ITER} iterations (last n_s={n_s})"
     )
 
 
@@ -154,13 +156,13 @@ def compute_gc(k: float, d_cb: float) -> float:
     return k * d_cb
 
 
-def solve_gb(cfg: RadioConfig, cell: CellConfig, g_d: float, tol: float = 1e-3) -> float:
+def solve_gb(cfg: RadioConfig, cell: CellConfig, g_d: float) -> float:
     """Smallest BS guard radius satisfying the BS SIR constraint.
 
     For a candidate g_b the hexagonal layout of minimum-size exclusion
     disks is built and its accumulated interference I(g_b) compared with
     the cap P_r,CB / sir_bs.  The feasibility boundary is located by
-    bisection on [g_d / 2, r_cell] to absolute tolerance `tol`; the lower
+    bisection on [g_d / 2, r_cell] to absolute tolerance GB_TOL_M; the lower
     end keeps the deployable ring's inner radius non-negative and is
     returned directly when feasible everywhere.  Raises Infeasible when
     only configurations with zero admissible pairs satisfy the constraint.
@@ -184,7 +186,7 @@ def solve_gb(cfg: RadioConfig, cell: CellConfig, g_d: float, tol: float = 1e-3) 
     if feasible(lo):
         return lo
     a, b = lo, hi
-    while b - a > tol:
+    while b - a > GB_TOL_M:
         mid = 0.5 * (a + b)
         if feasible(mid):
             b = mid

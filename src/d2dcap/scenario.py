@@ -308,7 +308,7 @@ def load_scenario(
 
     versus = data["versus"]
     versus_name = versus["name"]
-    if versus_name not in _VERSUS_FIELDS:
+    if not isinstance(versus_name, str) or versus_name not in _VERSUS_FIELDS:
         raise ScenarioError(
             f"versus.name must be one of {tuple(_VERSUS_FIELDS)}, got {versus_name!r}"
         )
@@ -342,6 +342,8 @@ def load_scenario(
         sims = [replace(sims[0], density=None)]
 
     output = data["output"]
+    if not (output["path"] is None or isinstance(output["path"], str)):
+        raise ScenarioError(f"output.path must be a string or null, got {output['path']!r}")
 
     scenario = Scenario(
         radio=radio,

@@ -74,6 +74,16 @@ def test_full_ring_region_is_exact(gd, cell):
 def test_case_boundary_tie_goes_to_earlier_case(gd, cell):
     boundary = gd.g_b / (1.0 + gd.k)
     assert deployable_area(boundary, gd, cell).case_label == CASE_FULL_RING
+    # exact ties at the cell edge r_cell/(1+k): the cut-out only touches the
+    # outer boundary there, so the label is still inner-cross
+    ties = ((1.5, 100.0, REGIME_MID, 200.0), (4.0, 250.0, REGIME_HIGH, 100.0))
+    for k, g_b, regime, edge in ties:
+        tie = synthetic_gd(40.0, k, g_b, cell)
+        assert cell.r_cell_m / (1.0 + k) == edge
+        at = deployable_area(edge, tie, cell)
+        assert (at.regime, at.case_label) == (regime, CASE_INNER_CROSS)
+        above = deployable_area(math.nextafter(edge, math.inf), tie, cell)
+        assert above.case_label == CASE_DOUBLE_CROSS
 
 
 def test_interior_case_regime_low(cell):

@@ -148,18 +148,52 @@ def test_simulate_runs_trials_in_calling_thread_in_stream_order(tmp_path, monkey
     assert [index for _, index in calls] == list(range(points * 2))
 
 
-def test_sweep_columns(tmp_path):
-    cfg = tmp_path / "sweep.yaml"
-    cfg.write_text(
-        "radio: {noise_mode: zero}\n"
-        "sweep: [{name: p_due, start: 0.5, stop: 1.0, steps: 3}]\n"
-        "versus: {name: p_cue_max, values: [140.0, 200.0]}\n"
-    )
-    code, out = run(["sweep", "--config", str(cfg)], tmp_path)
+GUARD_COLUMNS = [
+    "g_d_m", "k", "g_b_m", "n_s", "r_e_min_m", "r_e_max_m", "r_in_m", "r_out_m",
+    "gd_iterations", "noise_mode", "sir_due", "sir_bs",
+]
+BOUNDS_COLUMNS = ["d_cb_m", "s_d_m2", "case", "regime", "t_upper_bps", "t_lower_bps"]
+SWEEP_COLUMNS = ["p_due_mw", "p_cue_max", "g_d_m", "g_b_m", "t_upper_bps"]
+SIMULATE_COLUMNS = [
+    "d_cb_m", "trials", "mean_pairs", "mean_throughput_bps", "stderr_throughput_bps",
+    "ci95_low_bps", "ci95_high_bps", "t_lower_bps", "t_upper_bps",
+    "sir_success_rate", "rotation_success_rate",
+]
+SWEEP_GRID = (
+    "radio: {noise_mode: zero}\n"
+    "sweep: [{name: p_due, start: 0.5, stop: 1.0, steps: 3}]\n"
+    "versus: {name: p_cue_max, values: [140.0, 200.0]}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, config, columns, n_rows",
+    [
+        ("guard", None, GUARD_COLUMNS, 1),
+        ("bounds", None, BOUNDS_COLUMNS, 5),
+        ("simulate", None, SIMULATE_COLUMNS, 5),
+        ("simulate", PPP_GRID, ["density_per_m2", *SIMULATE_COLUMNS], 2 * 3),
+        ("sweep", SWEEP_GRID, SWEEP_COLUMNS, 3 * 2),
+    ],
+    ids=["guard", "bounds", "saturation", "ppp", "sweep"],
+)
+def test_artifact_columns(tmp_path, command, config, columns, n_rows):
+    path = DATA / "small.yaml"
+    if config is not None:
+        path = tmp_path / "grid.yaml"
+        path.write_text(config)
+    args = [command, "--config", str(path), "--trials", "1"]
+    code, out = run(args, tmp_path)
     assert code == 0
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert rows[0] == "p_due_mw,p_cue_max,g_d_m,g_b_m,t_upper_bps"
-    assert len(rows) == 1 + 3 * 2
+    assert rows[0] == ",".join(columns)
+    assert len(rows) == 1 + n_rows
+    assert all(len(row.split(",")) == len(columns) for row in rows[1:])
+    code, out = run(args + ["--format", "json"], tmp_path, "out.json")
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["columns"] == columns
+    assert [list(row) for row in payload["rows"]] == [columns] * n_rows
 
 
 def test_header_keeps_nine_digits(tmp_path):
@@ -229,6 +263,8 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("radio: {bitrate_bps: 1.0e+10}\n", "radio.bitrate_bps"),
         ("versus: {name: bitrate, values: [1.0e+10]}\n", "versus.values"),
         ("threads: 2\n", "threads"),
+        ("versus: {name: [bitrate]}\n", "versus.name"),
+        ("output: {path: [a.csv]}\n", "output.path"),
     ],
 )
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
@@ -249,6 +285,21 @@ def test_unwritable_out_exits_2_naming_output_path(tmp_path, capsys):
     code, _ = run(["guard"], tmp_path / "missing", "x.csv")
     assert code == 2
     assert "output.path" in capsys.readouterr().err
+
+
+def test_unwritable_out_fails_before_any_trial(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = mcsim.run_trial
+
+    def spy(*args, trial_index):
+        calls.append(trial_index)
+        return real(*args, trial_index=trial_index)
+
+    monkeypatch.setattr(mcsim, "run_trial", spy)
+    code, _ = run(["simulate", "--trials", "2"], tmp_path / "missing", "x.csv")
+    assert code == 2
+    assert "output.path" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_sweep_solver_failure_is_nan_row(tmp_path):
