@@ -16,8 +16,8 @@ from . import hexpack
 from .propagation import (
     CellConfig,
     RadioConfig,
+    cue_rx_power,
     noise_power,
-    path_loss,
     shannon_sir_threshold,
 )
 
@@ -167,14 +167,11 @@ def solve_gb(cfg: RadioConfig, cell: CellConfig, g_d: float) -> float:
     returned directly when feasible everywhere.  Raises Infeasible when
     only configurations with zero admissible pairs satisfy the constraint.
     """
-    r_e_min, _ = hexpack.disk_radii(g_d, cell)
-    cap = cfg.p_cue_max_mw * path_loss(cfg.pl_bs, cell.r_cell_m) / cfg.sir_bs
+    cap = cue_rx_power(cfg, cell) / cfg.sir_bs
 
     def feasible(g_b: float) -> bool:
-        interference = hexpack.bs_interference(
-            hexpack.packed_layout(g_d, g_b, cell), cfg.p_due_mw, cfg.pl_bs, r_e_min
-        )
-        return interference <= cap
+        layout = hexpack.packed_layout(g_d, g_b, cell)
+        return hexpack.bs_interference(layout, cfg.p_due_mw, cfg.pl_bs) <= cap
 
     lo = g_d / 2.0
     hi = cell.r_cell_m

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import arc_length
 from .propagation import CellConfig, PathLossModel
 
@@ -24,8 +22,6 @@ __all__ = [
     "PackingLayout",
     "disk_radii",
     "hex_radii",
-    "layer_count",
-    "layer_pairs",
     "build_layout",
     "packed_layout",
     "bs_interference",
@@ -51,13 +47,14 @@ class PackingLayout:
     the radial seed segment that excludes the on-segment disk and on the
     side that includes it.  `kappa` is the BS distance of each layer's
     base centre; within layer i the j-th off-segment disk sits at lattice
-    offset 2*j*r_e_min and the k-th on-segment-side disk at
-    2*(k-1)*r_e_min, both along a direction 60 degrees off the radial.
+    offset 2*j*r_e and the k-th on-segment-side disk at 2*(k-1)*r_e, both
+    along a direction 60 degrees off the radial.  `r_e` is the disk radius
+    the lattice was built with.
     """
 
-    n_layers: int
     per_layer: tuple[tuple[int, int], ...]
     kappa: tuple[float, ...]
+    r_e: float
 
     @property
     def n_total(self) -> int:
@@ -90,44 +87,28 @@ def hex_radii(g_b: float, r_cell: float) -> HexApprox:
     return HexApprox(r_h1=r_h1, r_h2=r_h2)
 
 
-def layer_count(hexes: HexApprox, d_min: float, r_e_min: float) -> int:
-    """Number of disk layers that fit between the two hexagons.
+def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayout:
+    """Layered arrangement of disks of radius r_e_min in the hexagon ring.
 
-    floor((r_h2 - r_h1 - d_min) / (2 r_e_min)) + 1, defined as 0 when the
-    gap is narrower than d_min (the construction assumes a wide ring; a
-    negative floor argument means no layer fits at all).
+    floor((r_h2 - r_h1 - d_min) / (2 r_e_min)) + 1 layers fit between the
+    hexagons, none when the gap is narrower than d_min (the construction
+    assumes a wide ring).  Layer i (1-based) has its base centre at
+    kappa_i = r_h1 + d_min/2 + 2 (i - 1) r_e_min.  The two trapezoid halves
+    meeting at the radial seed segment are counted separately: the
+    excluding side leaves the on-segment disk out, the including side
+    keeps it, which prevents double counting at the shared boundary.  The
+    excluding count is clamped at 0 for degenerate inner hexagons.
     """
     arg = (hexes.r_h2 - hexes.r_h1 - d_min) / (2.0 * r_e_min)
-    if arg < 0.0:
-        return 0
-    return int(math.floor(arg)) + 1
-
-
-def layer_pairs(i: int, hexes: HexApprox, d_min: float, r_e_min: float) -> tuple[int, int]:
-    """Disk counts (excluding-side, including-side) for layer i (1-based).
-
-    The two trapezoid halves meeting at the radial seed segment are counted
-    separately: the first count leaves the on-segment disk out, the second
-    includes it, which is what prevents double counting at the shared
-    boundary.  Counts are clamped at 0 for degenerate inner hexagons.
-    """
-    n_l = layer_count(hexes, d_min, r_e_min)
-    if not 1 <= i <= n_l:
-        raise ValueError(f"layer index {i} outside [1, {n_l}]")
+    n_layers = 0 if arg < 0.0 else int(math.floor(arg)) + 1
     base = hexes.r_h1 + d_min / 2.0
-    n_excl = int(math.floor((base + (2 * i - 3) * r_e_min) / (2.0 * r_e_min)))
-    n_incl = int(math.floor((base + 2 * (i - 1) * r_e_min) / (2.0 * r_e_min))) + 1
-    return max(n_excl, 0), n_incl
-
-
-def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayout:
-    """Assemble the full layered arrangement for the given hexagon ring."""
-    n_l = layer_count(hexes, d_min, r_e_min)
-    per_layer = tuple(layer_pairs(i, hexes, d_min, r_e_min) for i in range(1, n_l + 1))
-    kappa = tuple(
-        hexes.r_h1 + d_min / 2.0 + 2.0 * (i - 1) * r_e_min for i in range(1, n_l + 1)
-    )
-    return PackingLayout(n_layers=n_l, per_layer=per_layer, kappa=kappa)
+    per_layer, kappa = [], []
+    for i in range(1, n_layers + 1):
+        kappa_i = base + 2.0 * (i - 1) * r_e_min
+        n_excl = int(math.floor((base + (2 * i - 3) * r_e_min) / (2.0 * r_e_min)))
+        per_layer.append((max(n_excl, 0), int(math.floor(kappa_i / (2.0 * r_e_min))) + 1))
+        kappa.append(kappa_i)
+    return PackingLayout(tuple(per_layer), tuple(kappa), r_e_min)
 
 
 def packed_layout(g_d: float, g_b: float, cell: CellConfig) -> PackingLayout:
@@ -140,32 +121,25 @@ def packed_layout(g_d: float, g_b: float, cell: CellConfig) -> PackingLayout:
     return build_layout(hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min)
 
 
-def bs_interference(
-    layout: PackingLayout,
-    p_due: float,
-    pl_bs: PathLossModel,
-    r_e_min: float,
-) -> float:
+def bs_interference(layout: PackingLayout, p_due: float, pl_bs: PathLossModel) -> float:
     """Aggregate received power (mW) at the BS from one transmitter per disk.
 
     Each disk centre stands in for its transmitter.  Within layer i (base
-    distance kappa_i) the lattice offsets are kappa_j = 2 j r_e_min on the
-    excluding side and kappa_k = 2 (k - 1) r_e_min on the including side;
-    the 60-degree lattice direction gives BS distances
-    sqrt(kappa_i^2 + kappa^2 - kappa_i * kappa).  The one-third sum is
-    tripled for the full ring.
+    distance kappa_i) the lattice offsets are kappa_j = 2 j r_e on the
+    excluding side and kappa_k = 2 (k - 1) r_e on the including side; the
+    60-degree lattice direction gives BS distances
+    sqrt(kappa_i^2 + kappa^2 - kappa_i * kappa).  Each layer is summed on
+    its own, and the one-third sum is tripled for the full ring.
     """
+    step = 2.0 * layout.r_e
+    beta, alpha = pl_bs.beta, pl_bs.exponent
     total = 0.0
     for kappa_i, (n_excl, n_incl) in zip(layout.kappa, layout.per_layer):
-        offsets = np.concatenate(
-            [
-                2.0 * r_e_min * np.arange(1, n_excl + 1, dtype=float),
-                2.0 * r_e_min * np.arange(0, n_incl, dtype=float),
-            ]
-        )
-        if offsets.size:
-            dist = np.sqrt(kappa_i**2 + offsets**2 - kappa_i * offsets)
-            total += float(np.sum(pl_bs.gain(dist)))
+        layer = 0.0
+        for m in (*range(1, n_excl + 1), *range(n_incl)):
+            offset = step * m
+            layer += beta / math.sqrt(kappa_i**2 + offset * offset - kappa_i * offset) ** alpha
+        total += layer
     return 3.0 * p_due * total
 
 

@@ -29,10 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .guard import GuardDistances, compute_gc
-from .propagation import CellConfig, RadioConfig, cue_tx_power, path_loss
+from .propagation import CellConfig, RadioConfig, cue_rx_power, cue_tx_power, path_loss
 
 __all__ = [
     "SIR_CAP",
+    "PPP_MAX_PAIRS",
     "PairPlacement",
     "TrialConfig",
     "TrialResult",
@@ -49,6 +50,11 @@ __all__ = [
 #: Reported SIR when a receiver sees no interference at all; keeps the
 #: per-trial aggregates finite.
 SIR_CAP = 1e12
+
+#: Largest expected count of feasible node pairs a PPP trial may face.
+#: Pairing holds about 95 bytes per feasible pair (237 MiB traced at
+#: 1e-2 nodes/m^2 in the preset cell, 2.5M pairs), so this is about 1 GiB.
+PPP_MAX_PAIRS = 1e7
 
 _CHUNK = 256
 
@@ -107,11 +113,22 @@ class TrialConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def check_cell(self, cell: CellConfig) -> None:
-        """The cell-dependent rule: a fixed link length lies in [d_min, d_max]."""
+        """The cell-dependent rules: a fixed link length lies in [d_min, d_max],
+        and a PPP density expects at most PPP_MAX_PAIRS feasible node pairs,
+        0.5 * N^2 * (d_max^2 - d_min^2) / r_cell^2 for N = density * pi r_cell^2.
+        """
         if self.d_fixed is not None and not cell.d_min_m <= self.d_fixed <= cell.d_max_m:
             raise ValueError(
                 f"sim.d_fixed must lie in [{cell.d_min_m}, {cell.d_max_m}], got {self.d_fixed}"
             )
+        if self.mode == "ppp":
+            x = self.density * math.pi * cell.r_cell_m
+            pairs = 0.5 * x * x * (cell.d_max_m * cell.d_max_m - cell.d_min_m * cell.d_min_m)
+            if not pairs <= PPP_MAX_PAIRS:
+                raise ValueError(
+                    f"sim.densities: {self.density} nodes/m^2 expects {pairs:.3g} feasible "
+                    f"node pairs in this cell, more than {PPP_MAX_PAIRS:.0e}"
+                )
 
 
 @dataclass(frozen=True)
@@ -393,6 +410,7 @@ def run_ppp_trial(
     """
     if cfg.mode != "ppp":
         raise ValueError("run_ppp_trial requires a ppp-mode TrialConfig")
+    cfg.check_cell(cell)
     rng = np.random.default_rng([cfg.seed, trial_index])
     arena = _Arena(gd, cell, cfg.d_cb)
     n_nodes = int(rng.poisson(cfg.density * math.pi * cell.r_cell_m**2))
@@ -464,7 +482,7 @@ def evaluate_sir(
         sir = np.where(interference > 0.0, desired / interference, SIR_CAP)
     min_due_sir = float(np.minimum(sir, SIR_CAP).min())
 
-    p_r_cb = radio.p_cue_max_mw * path_loss(radio.pl_bs, cell.r_cell_m)
+    p_r_cb = cue_rx_power(radio, cell)
     bs_interf = float(
         np.sum(radio.p_due_mw * path_loss(radio.pl_bs, np.hypot(tx[:, 0], tx[:, 1])))
     )

@@ -23,6 +23,7 @@ __all__ = [
     "linear_to_db",
     "shannon_sir_threshold",
     "path_loss",
+    "cue_rx_power",
     "cue_tx_power",
     "noise_power",
 ]
@@ -35,8 +36,11 @@ NOISE_MODES = ("per-hz", "total", "zero")
 
 
 def db_to_linear(x_db: float) -> float:
-    """Convert a dB (or dBm) value to a linear ratio (or mW)."""
-    return 10.0 ** (x_db / 10.0)
+    """Convert a dB (or dBm) value to a linear ratio (or mW); inf on overflow."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def linear_to_db(x: float) -> float:
@@ -73,6 +77,10 @@ class PathLossModel:
     def __post_init__(self):
         if not self.exponent > 0.0:
             raise ValueError(f"path-loss exponent must be > 0, got {self.exponent}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(
+                f"path-loss intercept_db={self.intercept_db} gives linear gain {self.beta}"
+            )
 
     @classmethod
     def from_db_at(cls, distance_m: float, gain_db: float, exponent: float) -> "PathLossModel":
@@ -142,6 +150,10 @@ class RadioConfig:
             raise ValueError(
                 f"radio.noise_mode must be one of {NOISE_MODES}, got {self.noise_mode!r}"
             )
+        if not noise_power(self) < math.inf:
+            raise ValueError(
+                f"radio.noise_density_dbm_hz={self.noise_density_dbm_hz} overflows the noise power"
+            )
         try:
             default_sir = shannon_sir_threshold(self.bitrate_bps, self.bandwidth_hz)
         except OverflowError:
@@ -172,18 +184,25 @@ class CellConfig:
             )
 
 
+def cue_rx_power(cfg: RadioConfig, cell: CellConfig) -> float:
+    """Uplink power (mW) the BS receives from the power-controlled CUE.
+
+    Power control holds it at the level of a cell-edge user transmitting
+    at full power: P_r,CB = p_cue_max_mw * L_B(r_cell).
+    """
+    return cfg.p_cue_max_mw * path_loss(cfg.pl_bs, cell.r_cell_m)
+
+
 def cue_tx_power(cfg: RadioConfig, cell: CellConfig, d_cb: float) -> float:
     """Uplink transmit power (mW) of a power-controlled CUE at distance d_cb.
 
-    The BS holds the received uplink power at the level produced by a
-    cell-edge user transmitting at full power, so
-    P_t,C = p_cue_max_mw * L_B(r_cell) / L_B(d_cb).
+    It delivers P_r,CB at the BS, so P_t,C = P_r,CB / L_B(d_cb).
     """
     if not 0.0 < d_cb <= cell.r_cell_m:
         raise ValueError(
             f"CUE distance must lie in (0, {cell.r_cell_m}], got {d_cb}"
         )
-    return cfg.p_cue_max_mw * path_loss(cfg.pl_bs, cell.r_cell_m) / path_loss(cfg.pl_bs, d_cb)
+    return cue_rx_power(cfg, cell) / path_loss(cfg.pl_bs, d_cb)
 
 
 def noise_power(cfg: RadioConfig) -> float:

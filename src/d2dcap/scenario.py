@@ -264,6 +264,8 @@ def _build_axes(entries, cell: CellConfig) -> list[SweepAxis]:
         name = entry.get("name")
         if name not in _AXIS_NAMES:
             raise ScenarioError(f"{where}.name must be one of {_AXIS_NAMES}, got {name!r}")
+        if any(ax.name == name for ax in axes):
+            raise ScenarioError(f"{where}.name {name!r} repeats an earlier sweep axis")
         steps = _integer(entry.get("steps", 1), f"{where}.steps")
         if steps < 1:
             raise ScenarioError(f"{where}.steps must be >= 1, got {steps}")
@@ -335,7 +337,8 @@ def load_scenario(
             )
             for density in densities or [None]
         ]
-        sims[0].check_cell(cell)
+        for record in sims:
+            record.check_cell(cell)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     if sims[0].mode == "saturation":

@@ -10,7 +10,7 @@ from d2dcap import mcsim
 from d2dcap.cli import main
 from d2dcap.guard import guard_distances
 from d2dcap.propagation import CellConfig, RadioConfig
-from d2dcap.scenario import load_scenario
+from d2dcap.scenario import ScenarioError, load_scenario
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -265,6 +265,17 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("threads: 2\n", "threads"),
         ("versus: {name: [bitrate]}\n", "versus.name"),
         ("output: {path: [a.csv]}\n", "output.path"),
+        ("radio: {pl_bs: {intercept_db: 5000.0}}\n", "radio.pl_bs"),
+        ("radio: {pl_due: {intercept_db: 5000.0}}\n", "radio.pl_due"),
+        (
+            "radio: {noise_mode: per-hz, noise_density_dbm_hz: 5000.0}\n",
+            "radio.noise_density_dbm_hz",
+        ),
+        (
+            "sweep: [{name: d_cb, start: 0.0, stop: 100.0, steps: 3},"
+            " {name: d_cb, start: 200.0, stop: 300.0, steps: 2}]\n",
+            "sweep[1].name",
+        ),
     ],
 )
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
@@ -274,6 +285,17 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
     code = main([command, "--config", str(bad), "--trials", "1"])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+def test_ppp_density_bounded_by_expected_pairs(tmp_path):
+    # loaded only: a trial at these densities would exhaust memory
+    cfg = tmp_path / "dense.yaml"
+    for density in ("1.0e+300", "1.0e+2"):
+        cfg.write_text(f"sim: {{mode: ppp, densities: [1.0e-4, {density}]}}\n")
+        with pytest.raises(ScenarioError, match=r"sim\.densities"):
+            load_scenario(str(cfg))
+    cfg.write_text("sim: {mode: ppp, densities: [1.0e-2]}\n")
+    assert load_scenario(str(cfg)).densities == [1.0e-2]
 
 
 def test_negative_seed_flag_exits_2(capsys):

@@ -53,7 +53,7 @@ def linear_scan_gb(radio, cell, g_d, step=0.01):
         layout = hexpack.build_layout(
             hexpack.hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min
         )
-        return hexpack.bs_interference(layout, radio.p_due_mw, radio.pl_bs, r_e_min)
+        return hexpack.bs_interference(layout, radio.p_due_mw, radio.pl_bs)
 
     g = g_d / 2.0
     while interference(g) > cap:
@@ -164,7 +164,7 @@ def test_solve_gb_boundary_tight(radio, cell):
         layout = hexpack.build_layout(
             hexpack.hex_radii(g, cell.r_cell_m), cell.d_min_m, r_e_min
         )
-        return hexpack.bs_interference(layout, radio.p_due_mw, radio.pl_bs, r_e_min)
+        return hexpack.bs_interference(layout, radio.p_due_mw, radio.pl_bs)
 
     assert interference(g_b) <= cap
     assert interference(g_b - 2e-3) > cap

@@ -11,8 +11,6 @@ from d2dcap.hexpack import (
     build_layout,
     first_layer_neighbors,
     hex_radii,
-    layer_count,
-    layer_pairs,
     packed_layout,
 )
 from d2dcap.propagation import PathLossModel
@@ -78,22 +76,20 @@ def test_hex_area_identity(g_b):
 
 def test_layer_count_examples():
     r_e_min, d_min = 50.0, 2.0
-    assert layer_count(HexApprox(100.0, 100.0 + d_min), d_min, r_e_min) == 1
-    assert layer_count(HexApprox(100.0, 100.0 + d_min + 4 * r_e_min), d_min, r_e_min) == 3
-    assert layer_count(HexApprox(100.0, 100.5), d_min, r_e_min) == 0
+
+    def n_layers(hexes):
+        layout = build_layout(hexes, d_min, r_e_min)
+        assert len(layout.per_layer) == len(layout.kappa)
+        return len(layout.kappa)
+
+    assert n_layers(HexApprox(100.0, 100.0 + d_min)) == 1
+    assert n_layers(HexApprox(100.0, 100.0 + d_min + 4 * r_e_min)) == 3
+    assert n_layers(HexApprox(100.0, 100.5)) == 0
 
 
 def test_layer_pairs_degenerate_inner_hexagon():
     hexes = HexApprox(0.0, 1000.0)
-    assert layer_pairs(1, hexes, 0.0, 50.0) == (0, 1)
-
-
-def test_layer_pairs_rejects_out_of_range():
-    hexes = HexApprox(100.0, 500.0)
-    with pytest.raises(ValueError):
-        layer_pairs(0, hexes, 2.0, 50.0)
-    with pytest.raises(ValueError):
-        layer_pairs(99, hexes, 2.0, 50.0)
+    assert build_layout(hexes, 0.0, 50.0).per_layer[0] == (0, 1)
 
 
 @given(
@@ -102,16 +98,14 @@ def test_layer_pairs_rejects_out_of_range():
     st.floats(min_value=5.0, max_value=150.0),
 )
 def test_row_counts_differ_by_one_or_two(g_b, d_min, r_e_min):
-    hexes = hex_radii(g_b, 500.0)
-    n_l = layer_count(hexes, d_min, r_e_min)
-    for i in range(1, n_l + 1):
-        n_excl, n_incl = layer_pairs(i, hexes, d_min, r_e_min)
+    layout = build_layout(hex_radii(g_b, 500.0), d_min, r_e_min)
+    for n_excl, n_incl in layout.per_layer:
         assert n_incl - n_excl in (1, 2)
 
 
 def test_total_pairs_examples():
-    assert PackingLayout(0, (), ()).n_total == 0
-    assert PackingLayout(1, ((2, 3),), (100.0,)).n_total == 15
+    assert PackingLayout((), (), 50.0).n_total == 0
+    assert PackingLayout(((2, 3),), (100.0,), 50.0).n_total == 15
 
 
 def test_layout_kappa_spacing(gd, cell):
@@ -141,10 +135,10 @@ def test_total_pairs_non_increasing_in_disk_radius(gd, cell):
 
 def test_bs_interference_trivial_cases():
     pl = PathLossModel(exponent=3.76, intercept_db=-15.3)
-    assert bs_interference(PackingLayout(0, (), ()), 0.7, pl, 50.0) == 0.0
-    single = PackingLayout(1, ((0, 1),), (150.0,))
+    assert bs_interference(PackingLayout((), (), 50.0), 0.7, pl) == 0.0
+    single = PackingLayout(((0, 1),), (150.0,), 50.0)
     expected = 3.0 * 0.7 * pl.beta / 150.0**3.76
-    assert bs_interference(single, 0.7, pl, 50.0) == pytest.approx(expected, rel=1e-15)
+    assert bs_interference(single, 0.7, pl) == pytest.approx(expected, rel=1e-15)
 
 
 def test_bs_interference_matches_coordinate_oracle():
@@ -156,7 +150,7 @@ def test_bs_interference_matches_coordinate_oracle():
         d_min = rng.uniform(0.5, 10.0)
         p_due = rng.uniform(0.05, 5.0)
         layout = build_layout(hex_radii(g_b, 500.0), d_min, r_e_min)
-        got = bs_interference(layout, p_due, pl, r_e_min)
+        got = bs_interference(layout, p_due, pl)
         want = enumerate_interference(layout, p_due, pl, r_e_min)
         assert got == pytest.approx(want, rel=1e-9)
 

@@ -425,3 +425,6 @@ def test_trial_config_validation():
         TrialConfig(d2d_dist="fixed", d_fixed=500.0).check_cell(CellConfig())
     with pytest.raises(ValueError, match="sim.d2d_dist"):
         TrialConfig(mode="ppp", density=1e-4, d2d_dist="fixed", d_fixed=50.0)
+    TrialConfig(mode="ppp", density=1e-2).check_cell(CellConfig())
+    with pytest.raises(ValueError, match="sim.densities"):
+        TrialConfig(mode="ppp", density=2e-2).check_cell(CellConfig())

@@ -19,6 +19,7 @@ from d2dcap.propagation import (
 def test_db_identity_and_decade():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(-30.0) == pytest.approx(1e-3, rel=1e-12)
+    assert db_to_linear(5000.0) == math.inf
 
 
 def test_dbm_to_mw_pinned():
@@ -125,6 +126,13 @@ def test_sir_defaults_are_shannon_thresholds():
 def test_config_validation():
     with pytest.raises(ValueError):
         RadioConfig(bandwidth_hz=0.0)
+    for intercept_db in (5000.0, -5000.0):  # linear gain overflows or underflows
+        with pytest.raises(ValueError, match="intercept_db"):
+            PathLossModel(exponent=3.76, intercept_db=intercept_db)
+    for mode in ("per-hz", "total"):
+        with pytest.raises(ValueError, match="radio.noise_density_dbm_hz"):
+            RadioConfig(noise_mode=mode, noise_density_dbm_hz=5000.0)
+    RadioConfig(noise_mode="zero", noise_density_dbm_hz=5000.0)  # noise unused
     with pytest.raises(ValueError):
         RadioConfig(sir_due=-1.0)
     with pytest.raises(ValueError):
