@@ -81,23 +81,30 @@ def pair_guard_for_neighbors(cfg: RadioConfig, cell: CellConfig, n_s: int) -> fl
 
     with gamma = 2^(R_b/W) - 1 and (a', beta') the device-link path-loss
     parameters.  n_s = 0 yields 0.  Raises NoiseLimited when the
-    denominator is non-positive (rate unreachable even interference-free).
+    denominator is non-positive (rate unreachable even interference-free),
+    Infeasible when a power of the exponent overflows.
     """
     if n_s < 0:
         raise ValueError("neighbour count must be non-negative")
     gamma = _rate_sir(cfg)
     alpha = cfg.pl_due.exponent
     beta = cfg.pl_due.beta
-    denom = beta * cfg.p_due_mw - noise_power(cfg) * cell.d_max_m**alpha * gamma
-    if denom <= 0.0:
-        snr_edge = beta * cfg.p_due_mw / (noise_power(cfg) * cell.d_max_m**alpha)
-        raise NoiseLimited(
-            f"bit rate {cfg.bitrate_bps:g} bit/s needs SIR {gamma:.4g} but the "
-            f"noise-limited SNR at d_max = {cell.d_max_m:g} m is only {snr_edge:.4g} "
-            f"(noise_mode={cfg.noise_mode!r}); no guard distance can help"
-        )
-    numer = beta * n_s * cfg.p_due_mw * gamma
-    return cell.d_max_m * (numer / denom) ** (1.0 / alpha)
+    try:
+        denom = beta * cfg.p_due_mw - noise_power(cfg) * cell.d_max_m**alpha * gamma
+        if denom <= 0.0:
+            snr_edge = beta * cfg.p_due_mw / (noise_power(cfg) * cell.d_max_m**alpha)
+            raise NoiseLimited(
+                f"bit rate {cfg.bitrate_bps:g} bit/s needs SIR {gamma:.4g} but the "
+                f"noise-limited SNR at d_max = {cell.d_max_m:g} m is only {snr_edge:.4g} "
+                f"(noise_mode={cfg.noise_mode!r}); no guard distance can help"
+            )
+        numer = beta * n_s * cfg.p_due_mw * gamma
+        return cell.d_max_m * (numer / denom) ** (1.0 / alpha)
+    except OverflowError:
+        raise Infeasible(
+            f"radio.pl_due: exponent {alpha:g} overflows the pair guard distance "
+            f"for {n_s} neighbours"
+        ) from None
 
 
 def solve_gd(cfg: RadioConfig, cell: CellConfig) -> tuple[float, int]:

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .mcsim import TrialConfig
-from .propagation import CellConfig, PathLossModel, RadioConfig
+from .propagation import CellConfig, PathLossModel, RadioConfig, cue_rx_power
 
 __all__ = [
     "ScenarioError",
@@ -306,6 +306,13 @@ def load_scenario(
     radio_kwargs = _radio_kwargs(data["radio"])
     radio = _build_radio(radio_kwargs)
     cell = _build_cell(data["cell"])
+    try:
+        cue_rx_power(radio, cell)
+    except OverflowError:
+        raise ScenarioError(
+            f"cell.r_cell_m={cell.r_cell_m} overflows the cell-edge path loss "
+            f"with radio.pl_bs exponent {radio.pl_bs.exponent}"
+        ) from None
     axes = _build_axes(data["sweep"], cell)
 
     versus = data["versus"]

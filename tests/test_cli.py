@@ -50,6 +50,21 @@ def test_bounds_golden_file(tmp_path):
     assert out.read_bytes() == (GOLDEN / "bounds_small.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, config, golden",
+    [
+        ("guard", "small.yaml", "guard_small.csv"),
+        ("sweep", "small.yaml", "sweep_small.csv"),
+        ("simulate", "small.yaml", "simulate_small.csv"),
+        ("simulate", "ppp_small.yaml", "simulate_ppp_small.json"),
+    ],
+)
+def test_command_golden_files(tmp_path, command, config, golden):
+    code, out = run([command, "--config", str(DATA / config)], tmp_path, golden)
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 def test_bounds_first_row_full_ring(tmp_path):
     code, out = run(["bounds", "--config", str(DATA / "small.yaml")], tmp_path)
     rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
@@ -81,6 +96,15 @@ def test_noise_limited_surfaces_as_exit_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "noise" in err.lower()
+
+
+@pytest.mark.parametrize("exponent", ["1.0e-300", "300.0"])
+@pytest.mark.parametrize("command", ["guard", "simulate"])
+def test_overflowing_pair_guard_exits_3(tmp_path, capsys, command, exponent):
+    cfg = tmp_path / "steep.yaml"
+    cfg.write_text(f"radio: {{pl_due: {{exponent: {exponent}}}}}\n")
+    assert main([command, "--config", str(cfg), "--trials", "1"]) == 3
+    assert "radio.pl_due" in capsys.readouterr().err
 
 
 def test_flag_overrides_file_seed(tmp_path):
@@ -253,6 +277,7 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("radio: {p_due_mw: .inf}\n", "radio.p_due_mw"),
         ("radio: {bitrate_bps: .inf}\n", "radio.bitrate_bps"),
         ("cell: {r_cell_m: .inf}\n", "cell.r_cell_m"),
+        ("cell: {r_cell_m: 1.0e+200}\n", "cell.r_cell_m"),
         ("cell: {d_max_m: .nan}\n", "cell.d_max_m"),
         ("versus: {values: [.inf]}\n", "versus.values"),
         ("sim: {mode: ppp, densities: [.inf]}\n", "sim.densities"),

@@ -119,6 +119,21 @@ def test_ppp_trial_memory_bounded_at_dense_deployment(radio, cell, gd):
     assert peak < 300 * 2**20
 
 
+def test_saturation_trial_memory_bounded(radio, cell, gd):
+    # a trial holds one draw block of at most 16 x 256 candidates at a time;
+    # the first trial in a process also loads about 0.7 MiB of numpy state
+    cfg = TrialConfig(d_cb=250.0, seed=11)
+    run_saturation_trial(cfg, radio, cell, gd, trial_index=1)
+    tracemalloc.start()
+    try:
+        res = run_saturation_trial(cfg, radio, cell, gd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_pairs > 0
+    assert peak < 2**20
+
+
 def test_make_placement_invariants(gd):
     p = make_placement((120.0, -40.0), 77.0, 1.1, gd.g_d)
     assert math.dist(p.tx, p.rx) == pytest.approx(77.0, abs=1e-9)
@@ -206,19 +221,31 @@ def test_saturation_count_vs_packed_count(radio, cell, gd):
     assert 0.55 <= ratio <= 0.75
 
 
-def test_trials_pass_posthoc_audit(radio, cell, gd):
-    # re-run the arena decisions through the public admissibility check
-    for seed, d_cb in ((7, 0.0), (8, 200.0), (9, 450.0)):
-        cfg = TrialConfig(d_cb=d_cb, seed=seed, stop_after_failures=800)
-        # reconstruct placements by replaying the same trial
-        res = run_saturation_trial(cfg, radio, cell, gd)
-        assert res.n_pairs > 0
-        placements = _replay_placements(cfg, radio, cell, gd)
+@pytest.mark.parametrize("d_fixed", [None, 75.0], ids=["uniform", "fixed"])
+@pytest.mark.parametrize("cap", [1, 255, 256, 257, 800, 4097])
+def test_trials_pass_posthoc_audit(radio, cell, gd, cap, d_fixed):
+    # replay each trial's 256-candidate chunks through the scalar `admissible`;
+    # 4,096 candidates is the edge of one draw block
+    dist = "uniform" if d_fixed is None else "fixed"
+    counts = []
+    for seed, d_cb, index in ((7, 0.0, 0), (8, 200.0, 3), (9, 450.0, 1)):
+        cfg = TrialConfig(
+            d2d_dist=dist, d_fixed=d_fixed, d_cb=d_cb, seed=seed, stop_after_failures=cap
+        )
+        res = run_saturation_trial(cfg, radio, cell, gd, trial_index=index)
+        placements = _replay_placements(cfg, cell, gd, index)
         assert len(placements) == res.n_pairs
+        counts.append(res.n_pairs)
+        if not placements:
+            continue
+        assert evaluate_sir(placements, radio, cell, d_cb) == pytest.approx(
+            (res.min_due_sir, res.bs_sir), rel=1e-9
+        )
         # every placement admissible against all the others
         for i, p in enumerate(placements):
             others = placements[:i] + placements[i + 1 :]
             assert admissible(p, others, gd, cell, d_cb)
+    assert cap == 1 or max(counts) > 0
 
 
 @pytest.mark.parametrize("density", [1e-4, 1e-3])
@@ -257,9 +284,13 @@ def _replay_ppp_placements(cfg, cell, gd):
     return placements
 
 
-def _replay_placements(cfg, radio, cell, gd):
-    """Rebuild the accepted set of a saturation trial via the public API."""
-    rng = np.random.default_rng([cfg.seed, 0])
+def _replay_placements(cfg, cell, gd, trial_index=0):
+    """Rebuild the accepted set of a saturation trial via the public API.
+
+    One candidate at a time, from chunks of 256 draws per variable; a
+    fixed link length draws nothing, so its chunks hold 3 x 256 draws.
+    """
+    rng = np.random.default_rng([cfg.seed, trial_index])
     placements = []
     failures = 0
     chunk = 256
@@ -268,7 +299,10 @@ def _replay_placements(cfg, radio, cell, gd):
         theta = rng.uniform(0.0, 2.0 * math.pi, chunk)
         cx = rho * np.cos(theta)
         cy = rho * np.sin(theta)
-        dd = rng.uniform(cell.d_min_m, cell.d_max_m, chunk)
+        if cfg.d2d_dist == "fixed":
+            dd = np.full(chunk, cfg.d_fixed)
+        else:
+            dd = rng.uniform(cell.d_min_m, cell.d_max_m, chunk)
         angle = rng.uniform(0.0, 2.0 * math.pi, chunk)
         for j in range(chunk):
             candidate = make_placement(
