@@ -19,8 +19,11 @@ The simulator (`mcsim`) admits a pair of link length d only with its
 centre in [g_b + d/2, r_cell - d/2] and at least k*d_cb + d/2 from the CUE:
 its hard core, not its exclusion disk, must clear the guard disks and stay
 in the cell.  That region lies inside the one credited above, so the bounds
-side is the looser one; acceptance criterion 7 checks that the simulated
-mean still falls between the bounds, closer to the lower one.
+side is the looser one.  The saturation sampler draws centres only from
+grid cells that can still hold such a pair and packs until none can, so
+its pair count is that of a truly jammed ring; acceptance criterion 7
+checks that the simulated mean still falls between the bounds, closer to
+the lower one.
 """
 
 from __future__ import annotations

@@ -217,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         with _open_out(scenario.out) as fh:
             _emit(scenario, _COMMANDS[args.command](scenario), fh)
-    except ScenarioError as exc:
+    except (ScenarioError, hexpack.LayoutTooLarge) as exc:
         print(f"d2dcap: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _SOLVER_FAILURES as exc:

@@ -115,7 +115,9 @@ def solve_gd(cfg: RadioConfig, cell: CellConfig) -> tuple[float, int]:
     that distance until n_s repeats.  A cycle through previously seen
     counts is resolved conservatively by taking its largest member (larger
     n_s means a longer guard distance).  Raises NonConvergent after
-    GD_MAX_ITER alternations, NoiseLimited if the rate is unreachable.
+    GD_MAX_ITER alternations, NoiseLimited if the rate is unreachable, and
+    Infeasible if a guard distance has no neighbour ring (an arc length
+    that is zero, undefined or NaN).
     """
     g_d, n_s, _ = _solve_gd_trace(cfg, cell)
     return g_d, n_s
@@ -123,7 +125,13 @@ def solve_gd(cfg: RadioConfig, cell: CellConfig) -> tuple[float, int]:
 
 def _solve_gd_trace(cfg: RadioConfig, cell: CellConfig) -> tuple[float, int, int]:
     def neighbors_for(g_d: float) -> int:
-        return hexpack.first_layer_neighbors(g_d, *hexpack.disk_radii(g_d, cell))
+        try:
+            return hexpack.first_layer_neighbors(g_d, *hexpack.disk_radii(g_d, cell))
+        except ValueError as exc:
+            raise Infeasible(
+                f"radio.pl_due: exponent {cfg.pl_due.exponent:g} gives pair guard distance "
+                f"{g_d:.6g} m, where the neighbour ring is undefined ({exc})"
+            ) from None
 
     n_s = 6
     seen: list[int] = []

@@ -26,9 +26,20 @@ __all__ = [
     "packed_layout",
     "bs_interference",
     "first_layer_neighbors",
+    "MAX_LAYERS",
+    "LayoutTooLarge",
 ]
 
 _SQRT3 = math.sqrt(3.0)
+
+#: Most layers `build_layout` lists.  A layout of L layers holds about
+#: 1.5 L^2 disks, which `bs_interference` sums one by one for every guard
+#: radius the BS solver tries.
+MAX_LAYERS = 1000
+
+
+class LayoutTooLarge(ValueError):
+    """The cell is too wide for the disks: the layout would exceed MAX_LAYERS."""
 
 
 @dataclass(frozen=True)
@@ -97,9 +108,15 @@ def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayou
     meeting at the radial seed segment are counted separately: the
     excluding side leaves the on-segment disk out, the including side
     keeps it, which prevents double counting at the shared boundary.  The
-    excluding count is clamped at 0 for degenerate inner hexagons.
+    excluding count is clamped at 0 for degenerate inner hexagons.  Raises
+    LayoutTooLarge beyond MAX_LAYERS layers.
     """
     arg = (hexes.r_h2 - hexes.r_h1 - d_min) / (2.0 * r_e_min)
+    if not arg < MAX_LAYERS:
+        raise LayoutTooLarge(
+            f"cell.r_cell_m: a ring of width {hexes.r_h2 - hexes.r_h1:.6g} m holds "
+            f"{arg:.3g} layers of disks of radius {r_e_min:.6g} m, more than {MAX_LAYERS}"
+        )
     n_layers = 0 if arg < 0.0 else int(math.floor(arg)) + 1
     base = hexes.r_h1 + d_min / 2.0
     per_layer, kappa = [], []
@@ -151,12 +168,12 @@ def first_layer_neighbors(g_d: float, r_e_min: float, r_e_max: float) -> int:
     arc its disk subtends there, so the count is the circumference divided
     by that arc, floored.  Seven equal disks (six neighbours around one)
     is the sanity case.  Raises ValueError when the geometry admits no
-    neighbour ring at all (zero or undefined arc).
+    neighbour ring at all (zero, undefined or NaN arc).
     """
     if g_d <= 0.0:
         raise ValueError("neighbour count requires a positive guard distance")
     ring_r = r_e_max + g_d / 2.0
     arc = arc_length(ring_r, r_e_min, r_e_min + r_e_max)
-    if arc <= 0.0:
-        raise ValueError("degenerate neighbour geometry: zero arc length")
+    if not arc > 0.0:
+        raise ValueError(f"degenerate neighbour geometry: arc length {arc}")
     return int(math.floor(2.0 * math.pi * ring_r / arc))

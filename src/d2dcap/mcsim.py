@@ -2,9 +2,10 @@
 
 Two deployment modes validate the analytical bounds:
 
-* saturation: random sequential packing of pairs (uniform centre in the
-  deployable ring, random link distance and orientation) until a run of
-  consecutive rejections signals the ring is jammed;
+* saturation: random sequential packing of pairs (uniform centre, link
+  length and orientation over the pairs that fit) run to true jamming:
+  candidates are drawn only from the grid cells where a pair may still
+  fit, and the trial ends when no such cell is left;
 * ppp: a Poisson number of nodes scattered in the cell, greedily matched
   into pairs within the allowed link range, then admitted in random order;
   candidate pairs come from a cell list and the matching runs in rounds,
@@ -17,14 +18,15 @@ evaluation, with optional transmitter/receiver role rotation, audits the
 guard-distance design after the fact.
 
 Trials are pure functions of (config, trial index); each derives its own
-random stream (for saturation, 256-candidate chunks drawn in blocks), so
-runs are reproducible and order-independent.
+random stream (for saturation, blocks of _BLOCK candidates drawn from the
+live cells, see `_saturate`), so runs are reproducible and
+order-independent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -57,8 +59,16 @@ SIR_CAP = 1e12
 #: 1e-2 nodes/m^2 in the preset cell, 2.5M pairs), so this is about 1 GiB.
 PPP_MAX_PAIRS = 1e7
 
-_CHUNK = 256  # candidates per chunk of a saturation stream
-_BLOCK_CHUNKS = 16  # most chunks drawn and admitted at once
+#: Candidates drawn and admitted at once by a saturation trial.
+_BLOCK = 128
+#: Most cells along one side of a saturation trial's first grid.
+_MAX_SIDE = 256
+#: The refinement floor: a saturation trial that would split its live cells
+#: more often than this, or into more cells than this, ends where it is.
+_MAX_SPLITS = 40
+_MAX_CELLS = 1 << 18
+#: Most elements of a (disks x cells) or (disks x candidates) array.
+_SPAN = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,6 @@ class TrialConfig:
     d_fixed: float | None = None
     d_cb: float = 0.0
     seed: int = 0
-    stop_after_failures: int = 20000
 
     def __post_init__(self):
         if self.mode not in ("saturation", "ppp"):
@@ -109,8 +118,6 @@ class TrialConfig:
             raise ValueError("sim.d2d_dist must be 'uniform' in ppp mode")
         if self.d2d_dist == "fixed" and self.d_fixed is None:
             raise ValueError("sim.d_fixed is required with d2d_dist='fixed'")
-        if self.stop_after_failures < 1:
-            raise ValueError("sim.stop_after_failures must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -140,7 +147,8 @@ class TrialResult:
     min_due_sir / bs_sir come from the nominal transmitter/receiver
     assignment, and sir_ok records whether they meet both SIR thresholds;
     rotation_ok records the same verdict with every pair's roles swapped.
-    A trial without pairs passes both.
+    A trial without pairs passes both.  floor_hit marks a saturation trial
+    that ended at the sampler's refinement floor rather than jammed.
     """
 
     n_pairs: int
@@ -149,6 +157,7 @@ class TrialResult:
     bs_sir: float
     rotation_ok: bool
     sir_ok: bool
+    floor_hit: bool = False
 
 
 @dataclass(frozen=True)
@@ -208,7 +217,8 @@ def admissible(
 
 
 class _Arena:
-    """Mutable accepted-set state with vectorised admissibility checks."""
+    """Mutable accepted-set state with vectorised admissibility checks and
+    the cell bounds of the saturation sampler."""
 
     def __init__(self, gd: GuardDistances, cell: CellConfig, d_cb: float):
         self.gd = gd
@@ -221,13 +231,12 @@ class _Arena:
         self.d_d2d: list[float] = []
         self.angle: list[float] = []
 
-    def admit(self, cx, cy, d_d2d, angle, failures: int = 0, cap: float = math.inf) -> int:
-        """Admit a batch of candidates in order; return the run of straight rejections.
+    def admit(self, cx, cy, d_d2d, angle) -> None:
+        """Admit a batch of candidates in order.
 
         Clauses (a)-(c) are checked on the whole batch; clause (d) narrows the
-        survivors one accepted disk at a time, each acceptance checking only
-        the later survivors.  The candidates between survivors are rejections:
-        admission stops once their run, carried in as `failures`, reaches `cap`.
+        survivors against the accepted disks, a slice of them at a time, and
+        then each acceptance checks only the later survivors.
         """
         half = 0.5 * d_d2d
         rho = np.hypot(cx, cy)
@@ -236,22 +245,51 @@ class _Arena:
         ok &= np.hypot(cx - self.d_cb, cy) >= self.g_c + half
         er = 0.5 * (d_d2d + self.gd.g_d)
         live = np.flatnonzero(ok)
-        for x, y, r in zip(self.cx, self.cy, self.radius):
-            live = live[np.hypot(cx[live] - x, cy[live] - y) >= er[live] + r]
-        pos = 0
+        for x, y, r in self._disks(0, len(live)):
+            live = live[(np.hypot(cx[live] - x, cy[live] - y) >= er[live] + r).all(axis=0)]
         while len(live):
             j, live = int(live[0]), live[1:]
-            failures += j - pos
-            if failures >= cap:
-                return failures
             self.cx.append(cx[j])
             self.cy.append(cy[j])
             self.radius.append(er[j])
             self.d_d2d.append(d_d2d[j])
             self.angle.append(angle[j])
-            failures, pos = 0, j + 1
             live = live[np.hypot(cx[live] - cx[j], cy[live] - cy[j]) >= er[live] + er[j]]
-        return failures + len(cx) - pos
+
+    def _disks(self, first: int, width: int):
+        """The accepted disks from index `first` on, as (x, y, r) column arrays
+        in slices of at most _SPAN // width disks."""
+        step = max(_SPAN // max(width, 1), 1)
+        for i in range(first, len(self.cx), step):
+            j = slice(i, i + step)
+            yield tuple(np.array(v[j])[:, None] for v in (self.cx, self.cy, self.radius))
+
+    def link_bound(self, xc, yc, h: float):
+        """Longest link any centre in each cell could use; cells are h x h squares
+        centred at (xc, yc).
+
+        The least of d_max, 2(r_cell - near_0), 2(far_0 - g_b),
+        2(far_cue - g_c) and `disk_bound`, where near_p and far_p are the
+        cell's nearest and farthest distances from p.
+        """
+        ax, ay = np.abs(xc), np.abs(yc)
+        near = np.hypot(np.maximum(ax - 0.5 * h, 0.0), np.maximum(ay - 0.5 * h, 0.0))
+        bound = np.minimum(2.0 * (self.cell.r_cell_m - near), self.disk_bound(xc, yc, h))
+        np.minimum(bound, 2.0 * (np.hypot(ax + 0.5 * h, ay + 0.5 * h) - self.gd.g_b), out=bound)
+        np.minimum(bound, self.cell.d_max_m, out=bound)
+        if self.g_c > 0.0:
+            far = np.hypot(np.abs(xc - self.d_cb) + 0.5 * h, ay + 0.5 * h)
+            np.minimum(bound, 2.0 * (far - self.g_c), out=bound)
+        return bound
+
+    def disk_bound(self, xc, yc, h: float, first: int = 0):
+        """Least of 2(far_j - r_j) - g_d over the disks j accepted from index
+        `first` on (inf for none), for the cells of `link_bound`."""
+        bound = np.full(len(xc), np.inf)
+        for x, y, r in self._disks(first, len(xc)):
+            far = np.hypot(np.abs(xc - x) + 0.5 * h, np.abs(yc - y) + 0.5 * h)
+            np.minimum(bound, (2.0 * (far - r) - self.gd.g_d).min(axis=0), out=bound)
+        return bound
 
     def placements(self) -> list[PairPlacement]:
         return [
@@ -282,6 +320,64 @@ def _finish(
     )
 
 
+def _saturate(cfg: TrialConfig, cell: CellConfig, gd: GuardDistances, trial_index: int):
+    """Random sequential packing to jamming: (arena, whether the floor ended it).
+
+    The cell's bounding square is cut into side x side square cells, side =
+    min(ceil(8 r_cell / (d_lo + g_d)), _MAX_SIDE), so the pitch is at most
+    (d_lo + g_d) / 4 until the cap binds; d_lo is d_min, or d_fixed for
+    fixed links.  Each cell carries `link_bound`, the longest link any
+    centre in it could still use, and is live while that bound reaches
+    d_lo.  Each block draws one (5, _BLOCK) array of uniforms from the
+    stream ((4, _BLOCK) for fixed links): row 0 picks a live cell, weighted
+    by bound - d_lo (evenly for fixed links), rows 1 and 2 place the centre
+    uniformly in it, row 3 draws the link length uniformly on
+    [d_min, bound] (uniform links only) and the last row the heading.  The
+    proposal is uniform over a superset of the admissible (centre, link)
+    pairs, so `_Arena.admit` accepts exactly the random sequential
+    adsorption sequence.  After a block, the new disks tighten the live
+    cells' bounds; a block that accepts nothing splits every live cell into
+    four and bounds them afresh.  The trial ends jammed once no cell is
+    live, or at the refinement floor (_MAX_SPLITS splits, or more than
+    _MAX_CELLS cells after one).
+    """
+    rng = np.random.default_rng([cfg.seed, trial_index])
+    arena = _Arena(gd, cell, cfg.d_cb)
+    fixed = cfg.d2d_dist == "fixed"
+    d_lo = float(cfg.d_fixed) if fixed else cell.d_min_m
+    r = cell.r_cell_m
+    side = min(math.ceil(8.0 * r / (d_lo + gd.g_d)), _MAX_SIDE)
+    h = 2.0 * r / side
+    i = np.arange(side * side)
+    xc, yc = h * (i // side + 0.5) - r, h * (i % side + 0.5) - r
+    bound = arena.link_bound(xc, yc, h)
+    splits = 0
+    while True:
+        slack = bound - d_lo
+        live = slack >= 0.0 if fixed else slack > 0.0
+        xc, yc, bound, slack = xc[live], yc[live], bound[live], slack[live]
+        if not len(xc):
+            return arena, False
+        u = rng.random((4 if fixed else 5, _BLOCK))
+        cum = np.cumsum(np.ones(len(xc)) if fixed else slack)
+        k = np.minimum(np.searchsorted(cum, u[0] * cum[-1], side="right"), len(xc) - 1)
+        cx, cy = xc[k] + h * (u[1] - 0.5), yc[k] + h * (u[2] - 0.5)
+        dd = np.full(_BLOCK, d_lo) if fixed else d_lo + slack[k] * u[3]
+        n = len(arena.cx)
+        arena.admit(cx, cy, dd, 2.0 * math.pi * u[-1])
+        if len(arena.cx) > n:
+            np.minimum(bound, arena.disk_bound(xc, yc, h, n), out=bound)
+        elif splits == _MAX_SPLITS or 4 * len(xc) > _MAX_CELLS:
+            return arena, True
+        else:
+            q = 0.25 * h
+            xc = np.concatenate((xc - q, xc + q, xc - q, xc + q))
+            yc = np.concatenate((yc - q, yc - q, yc + q, yc + q))
+            h *= 0.5
+            bound = arena.link_bound(xc, yc, h)
+            splits += 1
+
+
 def run_saturation_trial(
     cfg: TrialConfig,
     radio: RadioConfig,
@@ -289,38 +385,18 @@ def run_saturation_trial(
     gd: GuardDistances,
     trial_index: int = 0,
 ) -> TrialResult:
-    """Random sequential packing until `stop_after_failures` straight misses.
+    """Random sequential packing until no admissible pair is left.
 
-    Candidate disk centres are drawn area-uniformly in the deployable ring
-    [r_in, r_out], link lengths from the configured distribution, headings
-    uniformly; a candidate is accepted iff admissible against everything
-    accepted so far.  Deterministic given (cfg.seed, trial_index); the
-    stream's layout in chunks of 256 candidates is part of the artifact
-    contract, and drawing up to 16 chunks at once changes the cost only.
+    Centres, link lengths (from the configured distribution) and headings
+    are uniform over the pairs still admissible; see `_saturate`.
+    Deterministic given (cfg.seed, trial_index).  `floor_hit` marks a trial
+    that stopped at the refinement floor with room possibly left.
     """
     if cfg.mode != "saturation":
         raise ValueError("run_saturation_trial requires a saturation-mode TrialConfig")
     cfg.check_cell(cell)
-    rng = np.random.default_rng([cfg.seed, trial_index])
-    arena = _Arena(gd, cell, cfg.d_cb)
-    r_in_sq, r_out_sq = gd.r_in**2, gd.r_out**2
-    rows = 3 if cfg.d2d_dist == "fixed" else 4
-    cap = cfg.stop_after_failures
-    failures = 0
-    while failures < cap:
-        chunks = min(-(-(cap - failures) // _CHUNK), _BLOCK_CHUNKS)
-        u = rng.random(chunks * rows * _CHUNK).reshape(chunks, rows, _CHUNK)
-        # rng.uniform(low, high) is low + (high - low) * u, bit for bit
-        rho, theta, *link, angle = u.transpose(1, 0, 2)  # each (chunks, _CHUNK)
-        rho = np.sqrt(rho * (r_out_sq - r_in_sq) + r_in_sq).ravel()
-        theta = (2.0 * math.pi * theta).ravel()
-        if link:
-            dd = (cell.d_min_m + (cell.d_max_m - cell.d_min_m) * link[0]).ravel()
-        else:
-            dd = np.full(len(rho), float(cfg.d_fixed))
-        cx, cy = rho * np.cos(theta), rho * np.sin(theta)
-        failures = arena.admit(cx, cy, dd, (2.0 * math.pi * angle).ravel(), failures, cap)
-    return _finish(arena, cfg, radio, cell)
+    arena, floor_hit = _saturate(cfg, cell, gd, trial_index)
+    return replace(_finish(arena, cfg, radio, cell), floor_hit=floor_hit)
 
 
 def _feasible_pairs(px, py, d_min: float, d_max: float):

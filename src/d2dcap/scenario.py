@@ -59,7 +59,6 @@ sim:
   d2d_dist: uniform         # uniform | fixed
   d_fixed: null
   densities: [4.0e-5, 6.0e-5, 8.0e-5, 1.0e-4, 1.2e-4]
-  stop_after_failures: 20000
 trials: 200
 seed: 1
 output:
@@ -167,7 +166,6 @@ class Scenario:
             "sim.d2d_dist": sim.d2d_dist,
             "sim.d_fixed": sim.d_fixed,
             "sim.densities": ",".join(map(format_float, self.densities)),
-            "sim.stop_after_failures": sim.stop_after_failures,
             "trials": self.trials,
             "seed": sim.seed,
         }
@@ -330,7 +328,6 @@ def load_scenario(
     d_fixed = sim["d_fixed"]
     if d_fixed is not None:
         d_fixed = _number(d_fixed, "sim.d_fixed")
-    stop_after = _integer(sim["stop_after_failures"], "sim.stop_after_failures")
     seed = seed if seed is not None else _integer(data["seed"], "seed")
     try:
         sims = [
@@ -340,7 +337,6 @@ def load_scenario(
                 d2d_dist=sim["d2d_dist"],
                 d_fixed=d_fixed,
                 seed=seed,
-                stop_after_failures=stop_after,
             )
             for density in densities or [None]
         ]

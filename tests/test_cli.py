@@ -98,7 +98,7 @@ def test_noise_limited_surfaces_as_exit_3(tmp_path, capsys):
     assert "noise" in err.lower()
 
 
-@pytest.mark.parametrize("exponent", ["1.0e-300", "300.0"])
+@pytest.mark.parametrize("exponent", ["1.0e-300", "300.0", "1.0e-3"])
 @pytest.mark.parametrize("command", ["guard", "simulate"])
 def test_overflowing_pair_guard_exits_3(tmp_path, capsys, command, exponent):
     cfg = tmp_path / "steep.yaml"
@@ -278,6 +278,7 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("radio: {bitrate_bps: .inf}\n", "radio.bitrate_bps"),
         ("cell: {r_cell_m: .inf}\n", "cell.r_cell_m"),
         ("cell: {r_cell_m: 1.0e+200}\n", "cell.r_cell_m"),
+        ("cell: {r_cell_m: 1.0e+80}\n", "cell.r_cell_m"),
         ("cell: {d_max_m: .nan}\n", "cell.d_max_m"),
         ("versus: {values: [.inf]}\n", "versus.values"),
         ("sim: {mode: ppp, densities: [.inf]}\n", "sim.densities"),

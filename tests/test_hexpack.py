@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from d2dcap.hexpack import (
+    MAX_LAYERS,
     HexApprox,
+    LayoutTooLarge,
     PackingLayout,
     bs_interference,
     build_layout,
@@ -179,3 +181,10 @@ def test_first_layer_neighbors_rejects_degenerate():
         # neighbour disk far smaller than the guard spacing: the neighbour
         # ring never reaches the victim's arc (arccos argument > 1)
         first_layer_neighbors(100.0, 10.0, 1000.0)
+
+
+def test_build_layout_refuses_more_than_max_layers():
+    # 10 km of ring for 1 m disks: about 5,500 layers, some 45M disks
+    with pytest.raises(LayoutTooLarge, match="cell.r_cell_m"):
+        build_layout(hex_radii(0.0, 1e4), 2.0, 1.0)
+    assert len(build_layout(hex_radii(0.0, 1e3), 2.0, 1.0).per_layer) <= MAX_LAYERS
