@@ -56,10 +56,8 @@ from .hexpack import (
     packed_layout,
 )
 from .mcsim import (
-    PairPlacement,
     TrialConfig,
     TrialResult,
-    admissible,
     aggregate,
     evaluate_sir,
     run_ppp_trial,

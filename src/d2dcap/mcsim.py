@@ -13,9 +13,11 @@ Two deployment modes validate the analytical bounds:
 
 Both samplers admit through one kernel, `_Arena.admit`: every accepted
 pair respects the hard-core rules (inside the cell, clear of the BS guard
-disk and of the CUE cut-out) and disjoint exclusion disks.  Explicit SIR
-evaluation, with optional transmitter/receiver role rotation, audits the
-guard-distance design after the fact.
+disk and of the CUE cut-out) and disjoint exclusion disks.  A trial keeps
+its pairs only as the arena's columns, and `evaluate_sir` reads those
+columns to audit the guard-distance design after the fact, with optional
+transmitter/receiver role rotation.  The scalar form of the placement
+rules is the brute-force oracle in tests/test_mcsim.py.
 
 Trials are pure functions of (config, trial index); each derives its own
 random stream (for saturation, blocks of _BLOCK candidates drawn from the
@@ -37,12 +39,9 @@ from .propagation import CellConfig, RadioConfig, cue_rx_power, cue_tx_power, pa
 __all__ = [
     "SIR_CAP",
     "PPP_MAX_PAIRS",
-    "PairPlacement",
     "TrialConfig",
     "TrialResult",
     "MetricStats",
-    "make_placement",
-    "admissible",
     "run_saturation_trial",
     "run_ppp_trial",
     "run_trial",
@@ -69,17 +68,6 @@ _MAX_SPLITS = 40
 _MAX_CELLS = 1 << 18
 #: Most elements of a (disks x cells) or (disks x candidates) array.
 _SPAN = 1 << 16
-
-
-@dataclass(frozen=True)
-class PairPlacement:
-    """One accepted D2D pair: endpoints, link length, and exclusion disk."""
-
-    tx: tuple[float, float]
-    rx: tuple[float, float]
-    d_d2d: float
-    er_center: tuple[float, float]
-    er_radius: float
 
 
 @dataclass(frozen=True)
@@ -170,52 +158,6 @@ class MetricStats:
     ci_high: float
 
 
-def make_placement(
-    center: tuple[float, float], d_d2d: float, angle: float, g_d: float
-) -> PairPlacement:
-    """Pair with the given exclusion-disk centre, link length and heading."""
-    hx = 0.5 * d_d2d * math.cos(angle)
-    hy = 0.5 * d_d2d * math.sin(angle)
-    return PairPlacement(
-        tx=(center[0] + hx, center[1] + hy),
-        rx=(center[0] - hx, center[1] - hy),
-        d_d2d=d_d2d,
-        er_center=center,
-        er_radius=0.5 * (d_d2d + g_d),
-    )
-
-
-def admissible(
-    candidate: PairPlacement,
-    accepted: Sequence[PairPlacement],
-    gd: GuardDistances,
-    cell: CellConfig,
-    d_cb: float,
-) -> bool:
-    """Whether `candidate` may join `accepted` under the placement rules.
-
-    (a) its hard core (diameter d_d2d around the disk centre) lies inside
-    the cell; (b) the hard core misses the BS guard disk; (c) it misses
-    the CUE cut-out of radius k*d_cb at (d_cb, 0); (d) its exclusion disk
-    is disjoint from every accepted exclusion disk.  Tangency counts as
-    admissible.
-    """
-    cx, cy = candidate.er_center
-    half = 0.5 * candidate.d_d2d
-    rho = math.hypot(cx, cy)
-    if rho + half > cell.r_cell_m:
-        return False
-    if rho < gd.g_b + half:
-        return False
-    if math.hypot(cx - d_cb, cy) < compute_gc(gd.k, d_cb) + half:
-        return False
-    for other in accepted:
-        ox, oy = other.er_center
-        if math.hypot(cx - ox, cy - oy) < candidate.er_radius + other.er_radius:
-            return False
-    return True
-
-
 class _Arena:
     """Mutable accepted-set state with vectorised admissibility checks and
     the cell bounds of the saturation sampler."""
@@ -234,9 +176,15 @@ class _Arena:
     def admit(self, cx, cy, d_d2d, angle) -> None:
         """Admit a batch of candidates in order.
 
-        Clauses (a)-(c) are checked on the whole batch; clause (d) narrows the
-        survivors against the accepted disks, a slice of them at a time, and
-        then each acceptance checks only the later survivors.
+        A candidate is admissible when (a) its hard core (diameter d_d2d
+        around the disk centre) lies inside the cell, (b) the hard core
+        misses the BS guard disk, (c) it misses the CUE cut-out of radius
+        k*d_cb at (d_cb, 0), and (d) its exclusion disk, of radius
+        (d_d2d + g_d)/2, is disjoint from every accepted one; tangency
+        counts as admissible.  Clauses (a)-(c) are checked on the whole
+        batch; clause (d) narrows the survivors against the accepted disks,
+        a slice of them at a time, and then each acceptance checks only the
+        later survivors.
         """
         half = 0.5 * d_d2d
         rho = np.hypot(cx, cy)
@@ -291,31 +239,25 @@ class _Arena:
             np.minimum(bound, (2.0 * (far - r) - self.gd.g_d).min(axis=0), out=bound)
         return bound
 
-    def placements(self) -> list[PairPlacement]:
-        return [
-            make_placement((x, y), d, a, self.gd.g_d)
-            for x, y, d, a in zip(self.cx, self.cy, self.d_d2d, self.angle)
-        ]
-
 
 def _finish(
     arena: _Arena, cfg: TrialConfig, radio: RadioConfig, cell: CellConfig
 ) -> TrialResult:
-    placements = arena.placements()
-    n = len(placements)
+    n = len(arena.cx)
     if n == 0:
         return TrialResult(0, 0.0, SIR_CAP, SIR_CAP, True, True)
+    pairs = np.array((arena.cx, arena.cy, arena.d_d2d, arena.angle))
 
     def meets(min_sir: float, bs_sir: float) -> bool:
         return min_sir >= radio.sir_due and bs_sir >= radio.sir_bs
 
-    min_sir, bs_sir = evaluate_sir(placements, radio, cell, cfg.d_cb, rotate=False)
+    min_sir, bs_sir = evaluate_sir(pairs, radio, cell, cfg.d_cb, rotate=False)
     return TrialResult(
         n_pairs=n,
         throughput_bps=n * radio.bitrate_bps,
         min_due_sir=min_sir,
         bs_sir=bs_sir,
-        rotation_ok=meets(*evaluate_sir(placements, radio, cell, cfg.d_cb, rotate=True)),
+        rotation_ok=meets(*evaluate_sir(pairs, radio, cell, cfg.d_cb, rotate=True)),
         sir_ok=meets(min_sir, bs_sir),
     )
 
@@ -522,7 +464,7 @@ def run_trial(
 
 
 def evaluate_sir(
-    accepted: Sequence[PairPlacement],
+    pairs: np.ndarray,
     radio: RadioConfig,
     cell: CellConfig,
     d_cb: float,
@@ -530,40 +472,41 @@ def evaluate_sir(
 ) -> tuple[float, float]:
     """Worst receiver SIR across pairs, and the uplink SIR at the BS.
 
+    `pairs` is a (4, n) array, one column per pair: centre x, centre y,
+    link length d_d2d and heading a.  A pair's transmitter sits at
+    c + d_d2d/2 (cos a, sin a) and its receiver at c - d_d2d/2 (cos a,
+    sin a); rotate=True swaps every pair's transmitter and receiver.
     Each receiver's desired power is p_due * L_D(d_d2d); interference sums
     the other pairs' transmitters through the device-link model plus the
     power-controlled CUE at (d_cb, 0) (absent at d_cb = 0, where power
     control drives its transmit power to zero).  The BS receives the
     controlled uplink power against the sum of all D2D transmitters seen
-    through the BS-link model.  rotate=True swaps every pair's roles.
-    Interference-free receivers report SIR_CAP.
+    through the BS-link model.  Interference-free receivers report SIR_CAP.
     """
-    if not accepted:
-        raise ValueError("evaluate_sir requires at least one placement")
-    tx = np.array([p.tx for p in accepted], dtype=float)
-    rx = np.array([p.rx for p in accepted], dtype=float)
+    cx, cy, d_link, angle = pairs
+    if not len(cx):
+        raise ValueError("evaluate_sir requires at least one pair")
+    hx = 0.5 * d_link * np.cos(angle)
+    hy = 0.5 * d_link * np.sin(angle)
+    tx_x, tx_y, rx_x, rx_y = cx + hx, cy + hy, cx - hx, cy - hy
     if rotate:
-        tx, rx = rx, tx
-    d_link = np.array([p.d_d2d for p in accepted], dtype=float)
-    n = len(accepted)
+        tx_x, tx_y, rx_x, rx_y = rx_x, rx_y, tx_x, tx_y
 
     desired = radio.p_due_mw * path_loss(radio.pl_due, d_link)
-    cross = np.hypot(rx[:, None, 0] - tx[None, :, 0], rx[:, None, 1] - tx[None, :, 1])
+    cross = np.hypot(rx_x[:, None] - tx_x[None, :], rx_y[:, None] - tx_y[None, :])
     gains = radio.p_due_mw * radio.pl_due.gain(np.where(cross > 0.0, cross, 1.0))
     np.fill_diagonal(gains, 0.0)
     interference = gains.sum(axis=1)
     if d_cb > 0.0:
         p_cue = cue_tx_power(radio, cell, d_cb)
-        d_cue = np.hypot(rx[:, 0] - d_cb, rx[:, 1])
+        d_cue = np.hypot(rx_x - d_cb, rx_y)
         interference = interference + p_cue * path_loss(radio.pl_due, d_cue)
     with np.errstate(divide="ignore"):
         sir = np.where(interference > 0.0, desired / interference, SIR_CAP)
     min_due_sir = float(np.minimum(sir, SIR_CAP).min())
 
     p_r_cb = cue_rx_power(radio, cell)
-    bs_interf = float(
-        np.sum(radio.p_due_mw * path_loss(radio.pl_bs, np.hypot(tx[:, 0], tx[:, 1])))
-    )
+    bs_interf = float(np.sum(radio.p_due_mw * path_loss(radio.pl_bs, np.hypot(tx_x, tx_y))))
     bs_sir = p_r_cb / bs_interf if bs_interf > 0.0 else SIR_CAP
     return min_due_sir, min(bs_sir, SIR_CAP)
 

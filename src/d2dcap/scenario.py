@@ -94,6 +94,8 @@ class SweepAxis:
 
 
 _AXIS_NAMES = ("d_cb", "p_due")
+#: Most points on one sweep axis; every command holds a row per point.
+MAX_SWEEP_STEPS = 100_000
 #: versus.name -> the RadioConfig field it sets
 _VERSUS_FIELDS = {"p_cue_max": "p_cue_max_mw", "bitrate": "bitrate_bps"}
 
@@ -265,8 +267,8 @@ def _build_axes(entries, cell: CellConfig) -> list[SweepAxis]:
         if any(ax.name == name for ax in axes):
             raise ScenarioError(f"{where}.name {name!r} repeats an earlier sweep axis")
         steps = _integer(entry.get("steps", 1), f"{where}.steps")
-        if steps < 1:
-            raise ScenarioError(f"{where}.steps must be >= 1, got {steps}")
+        if not 1 <= steps <= MAX_SWEEP_STEPS:
+            raise ScenarioError(f"{where}.steps must lie in [1, {MAX_SWEEP_STEPS}], got {steps}")
         start = _number(entry.get("start", 0.0), f"{where}.start")
         stop = _number(entry.get("stop", start), f"{where}.stop")
         if name == "d_cb" and not (0.0 <= start <= stop <= cell.r_cell_m):

@@ -302,6 +302,8 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
             " {name: d_cb, start: 200.0, stop: 300.0, steps: 2}]\n",
             "sweep[1].name",
         ),
+        ("sweep: [{name: d_cb, start: 0.0, stop: 2.0, steps: 10000000000000}]\n", "sweep[0].steps"),
+        ("sweep: [{name: p_due, start: 0.1, stop: 2.0, steps: 100001}]\n", "sweep[0].steps"),
     ],
 )
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):

@@ -9,15 +9,13 @@ from d2dcap import hexpack
 from d2dcap.guard import GuardDistances
 from d2dcap.mcsim import (
     SIR_CAP,
-    PairPlacement,
     TrialConfig,
+    _Arena,
     _feasible_pairs,
     _greedy_matching,
     _saturate,
     aggregate,
-    admissible,
     evaluate_sir,
-    make_placement,
     run_ppp_trial,
     run_saturation_trial,
 )
@@ -25,9 +23,15 @@ from d2dcap.propagation import CellConfig, RadioConfig, cue_tx_power, path_loss
 
 
 def brute_force_admissible(candidate, accepted, gd, cell, d_cb):
-    """Independent re-derivation of the four placement clauses."""
-    cx, cy = candidate.er_center
-    hc = candidate.d_d2d / 2.0
+    """Independent re-derivation of the four placement clauses.
+
+    `candidate` and each of `accepted` are (cx, cy, d_d2d) tuples: the
+    exclusion-disk centre and the link length.  A pair's hard core has
+    diameter d_d2d and its exclusion disk radius (d_d2d + g_d)/2, both
+    around the centre.  This is the one scalar form of the placement rules.
+    """
+    cx, cy, d_link = candidate
+    hc = d_link / 2.0
     if math.sqrt(cx * cx + cy * cy) + hc > cell.r_cell_m:
         return False
     if math.sqrt(cx * cx + cy * cy) < gd.g_b + hc:
@@ -35,10 +39,64 @@ def brute_force_admissible(candidate, accepted, gd, cell, d_cb):
     if math.sqrt((cx - d_cb) ** 2 + cy * cy) < gd.k * d_cb + hc:
         return False
     return all(
-        math.sqrt((cx - o.er_center[0]) ** 2 + (cy - o.er_center[1]) ** 2)
-        >= candidate.er_radius + o.er_radius
-        for o in accepted
+        math.sqrt((cx - ox) ** 2 + (cy - oy) ** 2) >= (d_link + gd.g_d) / 2.0 + (od + gd.g_d) / 2.0
+        for ox, oy, od in accepted
     )
+
+
+def arena_admits(candidate, accepted, gd, cell, d_cb):
+    """Whether `_Arena.admit` takes `candidate` alone into an arena that holds
+    `accepted`; both as in `brute_force_admissible`."""
+    arena = _Arena(gd, cell, d_cb)
+    for cx, cy, d_link in accepted:
+        arena.cx.append(cx)
+        arena.cy.append(cy)
+        arena.radius.append(0.5 * (d_link + gd.g_d))
+        arena.d_d2d.append(d_link)
+        arena.angle.append(0.0)
+    arena.admit(*(np.array([v], dtype=float) for v in (*candidate, 0.0)))
+    return len(arena.cx) > len(accepted)
+
+
+def arena_pairs(arena):
+    """The accepted pairs as (cx, cy, d_d2d) tuples, in acceptance order."""
+    return list(zip(arena.cx, arena.cy, arena.d_d2d))
+
+
+def arena_columns(arena):
+    """The (4, n) array `evaluate_sir` reads: centre x, centre y, link, heading."""
+    return np.array((arena.cx, arena.cy, arena.d_d2d, arena.angle))
+
+
+def endpoints(cx, cy, d_link, angle):
+    """(tx, rx) of a pair: its centre plus and minus half the link along the heading."""
+    hx, hy = 0.5 * d_link * math.cos(angle), 0.5 * d_link * math.sin(angle)
+    return (cx + hx, cy + hy), (cx - hx, cy - hy)
+
+
+def sir_oracle(pairs, radio, cell, d_cb, rotate=False):
+    """Scalar double loop over (cx, cy, d_d2d, heading) rows: the worst
+    receiver SIR and the SIR at the BS, as `evaluate_sir` defines them."""
+    ends = [endpoints(*p) for p in pairs]
+    if rotate:
+        ends = [(rx, tx) for tx, rx in ends]
+    p_cue = cue_tx_power(radio, cell, d_cb) if d_cb > 0.0 else 0.0
+    worst = SIR_CAP
+    for i, (_, rx) in enumerate(ends):
+        interference = 0.0
+        for j, (tx, _) in enumerate(ends):
+            if j != i:
+                interference += radio.p_due_mw * path_loss(radio.pl_due, math.dist(rx, tx))
+        if d_cb > 0.0:
+            interference += p_cue * path_loss(radio.pl_due, math.dist(rx, (d_cb, 0.0)))
+        if interference > 0.0:
+            desired = radio.p_due_mw * path_loss(radio.pl_due, pairs[i][2])
+            worst = min(worst, desired / interference)
+    bs_interference = 0.0
+    for tx, _ in ends:
+        bs_interference += radio.p_due_mw * path_loss(radio.pl_bs, math.hypot(*tx))
+    p_r_cb = radio.p_cue_max_mw * path_loss(radio.pl_bs, cell.r_cell_m)
+    return worst, min(p_r_cb / bs_interference, SIR_CAP)
 
 
 def quadratic_pairing(px, py, d_min, d_max):
@@ -184,32 +242,27 @@ def test_measure_zero_room_ends_at_refinement_floor(radio, cell):
     assert not run_saturation_trial(replace(cfg, d_fixed=149.0), radio, cell, gd).floor_hit
 
 
-def test_make_placement_invariants(gd):
-    p = make_placement((120.0, -40.0), 77.0, 1.1, gd.g_d)
-    assert math.dist(p.tx, p.rx) == pytest.approx(77.0, abs=1e-9)
-    assert p.er_center == ((p.tx[0] + p.rx[0]) / 2.0, (p.tx[1] + p.rx[1]) / 2.0)
-    assert p.er_radius == pytest.approx((77.0 + gd.g_d) / 2.0, rel=1e-15)
-
-
 def test_admissible_examples(gd, cell):
-    at_bs = make_placement((0.0, 0.0), cell.d_min_m, 0.0, gd.g_d)
-    assert not admissible(at_bs, [], gd, cell, 0.0)
-    legal = make_placement((gd.g_b + cell.d_min_m, 0.0), cell.d_min_m, 0.0, gd.g_d)
-    assert admissible(legal, [], gd, cell, 0.0)
+    at_bs = (0.0, 0.0, cell.d_min_m)
+    assert not arena_admits(at_bs, [], gd, cell, 0.0)
+    legal = (gd.g_b + cell.d_min_m, 0.0, cell.d_min_m)
+    assert arena_admits(legal, [], gd, cell, 0.0)
     # same spot already occupied
-    assert not admissible(legal, [legal], gd, cell, 0.0)
+    assert not arena_admits(legal, [legal], gd, cell, 0.0)
 
 
 def test_admissible_matches_brute_force(gd, cell):
+    # the production kernel, one candidate at a time, against the scalar rule
     rng = np.random.default_rng(11)
     accepted = []
     agree = 0
     for _ in range(1000):
         center = (rng.uniform(-600, 600), rng.uniform(-600, 600))
         d_link = rng.uniform(cell.d_min_m, cell.d_max_m)
-        candidate = make_placement(center, d_link, rng.uniform(0, 2 * math.pi), gd.g_d)
+        rng.uniform(0, 2 * math.pi)  # the heading, which no clause reads
+        candidate = (*center, d_link)
         d_cb = rng.uniform(0.0, cell.r_cell_m)
-        got = admissible(candidate, accepted, gd, cell, d_cb)
+        got = arena_admits(candidate, accepted, gd, cell, d_cb)
         want = brute_force_admissible(candidate, accepted, gd, cell, d_cb)
         assert got == want
         agree += 1
@@ -282,23 +335,24 @@ def test_trials_pass_posthoc_audit(radio, cell, gd, seed, d_fixed):
         cfg = TrialConfig(d2d_dist=dist, d_fixed=d_fixed, d_cb=d_cb, seed=seed)
         res = run_saturation_trial(cfg, radio, cell, gd, trial_index=index)
         arena, floor_hit = _saturate(cfg, cell, gd, index)
-        placements = arena.placements()
+        pairs = arena_pairs(arena)
         assert not floor_hit and not res.floor_hit
-        assert len(placements) == res.n_pairs
+        assert len(pairs) == res.n_pairs
         counts.append(res.n_pairs)
-        for i, p in enumerate(placements):
-            assert admissible(p, placements[:i], gd, cell, d_cb)
-            assert cell.d_min_m <= p.d_d2d <= cell.d_max_m
-            assert d_fixed is None or p.d_d2d == d_fixed
-        if placements:
-            assert evaluate_sir(placements, radio, cell, d_cb) == (res.min_due_sir, res.bs_sir)
+        for i, p in enumerate(pairs):
+            assert brute_force_admissible(p, pairs[:i], gd, cell, d_cb)
+            assert cell.d_min_m <= p[2] <= cell.d_max_m
+            assert d_fixed is None or p[2] == d_fixed
+        if pairs:
+            got = evaluate_sir(arena_columns(arena), radio, cell, d_cb)
+            assert got == (res.min_due_sir, res.bs_sir)
     assert min(counts[:2]) > 0
 
 
-def _screen(x, y, placements, gd, cell, d_cb, d_link, tol=1e-6):
+def _screen(x, y, pairs, gd, cell, d_cb, d_link, tol=1e-6):
     """Centres where a pair of link length d_link is admissible, give or take tol (m).
 
-    A numpy pre-screen for the scalar `admissible`: every clause is loosened
+    A numpy pre-screen for `brute_force_admissible`: every clause is loosened
     by tol, so it keeps every centre the exact rule admits.
     """
     half = 0.5 * d_link
@@ -306,9 +360,8 @@ def _screen(x, y, placements, gd, cell, d_cb, d_link, tol=1e-6):
     keep = (rho + half <= cell.r_cell_m + tol) & (rho >= gd.g_b + half - tol)
     keep &= np.hypot(x - d_cb, y) >= gd.k * d_cb + half - tol
     er = 0.5 * (d_link + gd.g_d)
-    for p in placements:
-        ox, oy = p.er_center
-        keep &= np.hypot(x - ox, y - oy) >= er + p.er_radius - tol
+    for ox, oy, od in pairs:
+        keep &= np.hypot(x - ox, y - oy) >= er + 0.5 * (od + gd.g_d) - tol
     return keep
 
 
@@ -325,20 +378,19 @@ def test_saturation_trials_end_jammed(cell, gd, d_cb, d_fixed):
     for index in range(2):
         arena, floor_hit = _saturate(cfg, cell, gd, index)
         assert not floor_hit
-        placements = arena.placements()
+        pairs = arena_pairs(arena)
         rho = cell.r_cell_m * np.sqrt(rng.random(10**6))
         theta = 2.0 * math.pi * rng.random(10**6)
         x, y = rho * np.cos(theta), rho * np.sin(theta)
-        keep = _screen(x, y, placements, gd, cell, d_cb, d_link)
+        keep = _screen(x, y, pairs, gd, cell, d_cb, d_link)
         for cx, cy in zip(x[keep].tolist(), y[keep].tolist()):
-            candidate = make_placement((cx, cy), d_link, 0.0, gd.g_d)
-            assert not admissible(candidate, placements, gd, cell, d_cb)
+            assert not brute_force_admissible((cx, cy, d_link), pairs, gd, cell, d_cb)
         # the screen keeps what the scalar rule admits once half the pairs go
-        half = placements[: len(placements) // 2]
+        half = pairs[: len(pairs) // 2]
         keep = _screen(x[:2000], y[:2000], half, gd, cell, d_cb, d_link)
         exact = np.array(
             [
-                admissible(make_placement((cx, cy), d_link, 0.0, gd.g_d), half, gd, cell, d_cb)
+                brute_force_admissible((cx, cy, d_link), half, gd, cell, d_cb)
                 for cx, cy in zip(x[:2000].tolist(), y[:2000].tolist())
             ]
         )
@@ -392,59 +444,80 @@ def test_fixed_links_jam_at_rsa_coverage(radio):
 
 @pytest.mark.parametrize("density", [1e-4, 1e-3])
 def test_ppp_trials_pass_posthoc_audit(radio, cell, gd, density):
-    # replay the nodes, pair them with the quadratic oracle, admit with `admissible`
+    # replay the nodes, pair them with the quadratic oracle, admit with
+    # `brute_force_admissible`
     for seed, d_cb in ((7, 0.0), (8, 200.0), (9, 450.0)):
         cfg = TrialConfig(mode="ppp", density=density, d_cb=d_cb, seed=seed)
         res = run_ppp_trial(cfg, radio, cell, gd)
         assert res.n_pairs > 0
-        placements = _replay_ppp_placements(cfg, cell, gd)
-        assert len(placements) == res.n_pairs
-        assert evaluate_sir(placements, radio, cell, d_cb) == pytest.approx(
+        rows = _replay_ppp_pairs(cfg, cell, gd)
+        assert len(rows) == res.n_pairs
+        assert evaluate_sir(np.array(rows).T, radio, cell, d_cb) == pytest.approx(
             (res.min_due_sir, res.bs_sir), rel=1e-9
         )
-        for i, p in enumerate(placements):
-            others = placements[:i] + placements[i + 1 :]
-            assert admissible(p, others, gd, cell, d_cb)
+        pairs = [row[:3] for row in rows]
+        for i, p in enumerate(pairs):
+            others = pairs[:i] + pairs[i + 1 :]
+            assert brute_force_admissible(p, others, gd, cell, d_cb)
 
 
-def _replay_ppp_placements(cfg, cell, gd):
-    """Rebuild the accepted set of a PPP trial from its random stream."""
-    rng = np.random.default_rng([cfg.seed, 0])
+def _replay_ppp_pairs(cfg, cell, gd, trial_index=0):
+    """Rebuild the accepted set of a PPP trial from its random stream, as
+    (cx, cy, d_d2d, heading) rows in acceptance order."""
+    rng = np.random.default_rng([cfg.seed, trial_index])
     n = int(rng.poisson(cfg.density * math.pi * cell.r_cell_m**2))
     rho = cell.r_cell_m * np.sqrt(rng.random(n))
     theta = rng.uniform(0.0, 2.0 * math.pi, n)
     px, py = rho * np.cos(theta), rho * np.sin(theta)
     *_, matched = quadratic_pairing(px, py, cell.d_min_m, cell.d_max_m)
-    placements = []
+    rows = []
     for k in rng.permutation(len(matched)):
         a, b = matched[k]
         dx, dy = float(px[a] - px[b]), float(py[a] - py[b])
-        center = (float(0.5 * (px[a] + px[b])), float(0.5 * (py[a] + py[b])))
-        candidate = make_placement(center, math.hypot(dx, dy), math.atan2(dy, dx), gd.g_d)
-        if admissible(candidate, placements, gd, cell, cfg.d_cb):
-            placements.append(candidate)
-    return placements
+        cx, cy = float(0.5 * (px[a] + px[b])), float(0.5 * (py[a] + py[b]))
+        candidate = (cx, cy, math.hypot(dx, dy))
+        if brute_force_admissible(candidate, [row[:3] for row in rows], gd, cell, cfg.d_cb):
+            rows.append((*candidate, math.atan2(dy, dx)))
+    return rows
 
 
-def test_evaluate_sir_single_pair_no_cue(radio, cell, gd):
-    pair = make_placement((300.0, 0.0), 50.0, 0.3, gd.g_d)
-    min_sir, bs_sir = evaluate_sir([pair], radio, cell, 0.0)
+@pytest.mark.parametrize("rotate", [False, True], ids=["nominal", "rotated"])
+@pytest.mark.parametrize("d_cb", [0.0, 250.0])
+def test_evaluate_sir_matches_scalar_oracle(radio, cell, gd, d_cb, rotate):
+    # real accepted sets, many pairs each: two saturation arenas and two
+    # replayed PPP trials
+    cfg = TrialConfig(d_cb=d_cb, seed=41)
+    sets = [arena_columns(_saturate(cfg, cell, gd, t)[0]) for t in (0, 1)]
+    for density in (1e-4, 1e-3):
+        cfg = TrialConfig(mode="ppp", density=density, d_cb=d_cb, seed=42)
+        sets.append(np.array(_replay_ppp_pairs(cfg, cell, gd)).T)
+    for columns in sets:
+        assert columns.shape[1] >= 3
+        want = sir_oracle(columns.T.tolist(), radio, cell, d_cb, rotate)
+        got = evaluate_sir(columns, radio, cell, d_cb, rotate=rotate)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_evaluate_sir_single_pair_no_cue(radio, cell):
+    pair = (300.0, 0.0, 50.0, 0.3)
+    min_sir, bs_sir = evaluate_sir(np.array([pair]).T, radio, cell, 0.0)
     assert min_sir == SIR_CAP  # no interferer, no CUE term at d_cb = 0
+    tx, _ = endpoints(*pair)
     expected_bs = (
         radio.p_cue_max_mw
         * path_loss(radio.pl_bs, cell.r_cell_m)
-        / (radio.p_due_mw * path_loss(radio.pl_bs, math.hypot(*pair.tx)))
+        / (radio.p_due_mw * path_loss(radio.pl_bs, math.hypot(*tx)))
     )
     assert bs_sir == pytest.approx(expected_bs, rel=1e-12)
 
 
-def test_evaluate_sir_symmetric_pairs(radio, cell, gd):
-    a = make_placement((250.0, 0.0), 60.0, math.pi / 2.0, gd.g_d)
-    b = make_placement((-250.0, 0.0), 60.0, math.pi / 2.0, gd.g_d)
-    min_sir, _ = evaluate_sir([a, b], radio, cell, 0.0)
+def test_evaluate_sir_symmetric_pairs(radio, cell):
+    a = (250.0, 0.0, 60.0, math.pi / 2.0)
+    b = (-250.0, 0.0, 60.0, math.pi / 2.0)
+    min_sir, _ = evaluate_sir(np.array([a, b]).T, radio, cell, 0.0)
     # both receivers see one interferer at the same distance; compute one
     # side by hand
-    d_cross = math.dist(a.rx, b.tx)
+    d_cross = math.dist(endpoints(*a)[1], endpoints(*b)[0])
     want = (
         radio.p_due_mw
         * path_loss(radio.pl_due, 60.0)
@@ -453,22 +526,22 @@ def test_evaluate_sir_symmetric_pairs(radio, cell, gd):
     assert min_sir == pytest.approx(want, rel=1e-12)
 
 
-def test_evaluate_sir_includes_cue_interference(radio, cell, gd):
-    pair = make_placement((300.0, 0.0), 50.0, 0.3, gd.g_d)
+def test_evaluate_sir_includes_cue_interference(radio, cell):
+    pair = (300.0, 0.0, 50.0, 0.3)
     d_cb = 100.0
-    min_sir, _ = evaluate_sir([pair], radio, cell, d_cb)
+    min_sir, _ = evaluate_sir(np.array([pair]).T, radio, cell, d_cb)
     p_cue = cue_tx_power(radio, cell, d_cb)
     want = (
         radio.p_due_mw
         * path_loss(radio.pl_due, 50.0)
-        / (p_cue * path_loss(radio.pl_due, math.dist(pair.rx, (d_cb, 0.0))))
+        / (p_cue * path_loss(radio.pl_due, math.dist(endpoints(*pair)[1], (d_cb, 0.0))))
     )
     assert min_sir == pytest.approx(want, rel=1e-12)
 
 
 def test_evaluate_sir_rejects_empty(radio, cell):
     with pytest.raises(ValueError):
-        evaluate_sir([], radio, cell, 0.0)
+        evaluate_sir(np.empty((4, 0)), radio, cell, 0.0)
 
 
 def test_worst_case_links_respect_design_threshold(radio, cell, gd):
