@@ -7,10 +7,8 @@ aggregate throughput as a function of the uplink user's position, and
 cross-checks everything with a Monte Carlo placement simulator.
 """
 
-# propagation comes first: it holds the package's first numpy import, and
-# numpy imports faster here than nested under bounds -> guard -> hexpack
-# (a fresh `import d2dcap.cli` took 12% longer that way, with or without
-# cached bytecode: medians of 15 interleaved runs on a 2-vCPU host).
+import importlib
+
 from .propagation import (
     CellConfig,
     PathLossModel,
@@ -55,15 +53,20 @@ from .hexpack import (
     hex_radii,
     packed_layout,
 )
-from .mcsim import (
-    TrialConfig,
-    TrialResult,
-    aggregate,
-    evaluate_sir,
-    run_ppp_trial,
-    run_saturation_trial,
-    run_trial,
-)
-from .scenario import Scenario, ScenarioError, SweepAxis, load_scenario
+from .scenario import Scenario, ScenarioError, SweepAxis, TrialConfig, load_scenario
 
 __version__ = "0.1.0"
+
+# The simulator needs numpy and the analytic chain does not, so its names
+# load on first use.  import_module, unlike `from . import mcsim`, does not
+# look `mcsim` up through this function first.
+_MCSIM_NAMES = frozenset(
+    ("TrialResult", "aggregate", "evaluate_sir", "run_ppp_trial", "run_saturation_trial",
+     "run_trial")
+)
+
+
+def __getattr__(name: str):
+    if name in _MCSIM_NAMES:
+        return getattr(importlib.import_module(".mcsim", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import replace
 
-from . import bounds, guard, hexpack, mcsim
+from . import bounds, guard, hexpack
 from .scenario import Scenario, ScenarioError, SweepAxis, format_float, load_scenario
 
 __all__ = ["main"]
@@ -89,11 +89,11 @@ def cmd_bounds(scenario: Scenario) -> list[dict]:
     axis = scenario.axis("d_cb", SweepAxis("d_cb", 0.0, scenario.cell.r_cell_m, 101))
     rows = []
     for d_cb in axis.values():
-        area = bounds.deployable_area(float(d_cb), gd, scenario.cell)
+        area = bounds.deployable_area(d_cb, gd, scenario.cell)
         tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
         rows.append(
             {
-                "d_cb_m": float(d_cb),
+                "d_cb_m": d_cb,
                 "s_d_m2": area.area_m2,
                 "case": area.case_label,
                 "regime": area.regime,
@@ -117,7 +117,7 @@ def cmd_sweep(scenario: Scenario) -> list[dict]:
     for versus_value in scenario.versus_values:
         for p_due in axis.values():
             radio = scenario.radio_with(
-                p_due_mw=float(p_due), **{scenario.versus_field: versus_value}
+                p_due_mw=p_due, **{scenario.versus_field: versus_value}
             )
             g_d = g_b = t_upper = math.nan
             try:
@@ -130,7 +130,7 @@ def cmd_sweep(scenario: Scenario) -> list[dict]:
                 pass
             rows.append(
                 {
-                    "p_due_mw": float(p_due),
+                    "p_due_mw": p_due,
                     scenario.versus_name: float(versus_value),
                     "g_d_m": g_d,
                     "g_b_m": g_b,
@@ -146,12 +146,15 @@ def cmd_simulate(scenario: Scenario) -> list[dict]:
     In ppp mode every density gets its own pass over the CUE positions
     and a leading density column.  Trials run one after another in the
     calling thread; trial t of grid point p runs on random stream
-    p * trials + t.
+    p * trials + t.  The default CUE axis ends at 400 m or at the cell
+    edge, whichever is nearer.
     """
+    from . import mcsim  # numpy loads here, not for the analytic commands
+
     gd = guard.guard_distances(scenario.radio, scenario.cell)
-    axis = scenario.axis("d_cb", SweepAxis("d_cb", 0.0, 400.0, 5))
+    axis = scenario.axis("d_cb", SweepAxis("d_cb", 0.0, min(400.0, scenario.cell.r_cell_m), 5))
     n = scenario.trials
-    grid = (replace(sim, d_cb=float(d_cb)) for sim in scenario.sims for d_cb in axis.values())
+    grid = (replace(sim, d_cb=d_cb) for sim in scenario.sims for d_cb in axis.values())
     rows = []
     for point, cfg in enumerate(grid):
         stats = mcsim.aggregate(

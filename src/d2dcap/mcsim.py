@@ -35,6 +35,7 @@ import numpy as np
 
 from .guard import GuardDistances, compute_gc
 from .propagation import CellConfig, RadioConfig, cue_rx_power, cue_tx_power, path_loss
+from .scenario import PPP_MAX_PAIRS, TrialConfig
 
 __all__ = [
     "SIR_CAP",
@@ -53,11 +54,6 @@ __all__ = [
 #: per-trial aggregates finite.
 SIR_CAP = 1e12
 
-#: Largest expected count of feasible node pairs a PPP trial may face.
-#: Pairing holds about 95 bytes per feasible pair (237 MiB traced at
-#: 1e-2 nodes/m^2 in the preset cell, 2.5M pairs), so this is about 1 GiB.
-PPP_MAX_PAIRS = 1e7
-
 #: Candidates drawn and admitted at once by a saturation trial.
 _BLOCK = 128
 #: Most cells along one side of a saturation trial's first grid.
@@ -68,64 +64,6 @@ _MAX_SPLITS = 40
 _MAX_CELLS = 1 << 18
 #: Most elements of a (disks x cells) or (disks x candidates) array.
 _SPAN = 1 << 16
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """Deterministic description of one simulation trial.
-
-    mode is "saturation" or "ppp" (the latter needs `density` in
-    nodes/m^2); d2d_dist is "uniform" over the allowed link range or
-    "fixed" at `d_fixed` metres, in saturation mode only (PPP links are
-    node distances).  The seed, together with a trial index, fully
-    determines the trial.  The checks below, with `check_cell`, are the
-    sim-option rules; the scenario loader builds its records through them,
-    so the messages name the config fields.
-    """
-
-    mode: str = "saturation"
-    density: float | None = None
-    d2d_dist: str = "uniform"
-    d_fixed: float | None = None
-    d_cb: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("saturation", "ppp"):
-            raise ValueError(f"sim.mode must be 'saturation' or 'ppp', got {self.mode!r}")
-        if self.density is None:
-            if self.mode == "ppp":
-                raise ValueError("sim.densities must give a density in ppp mode")
-        elif not self.density > 0.0:
-            raise ValueError(f"sim.densities must all be > 0, got {self.density}")
-        if self.d2d_dist not in ("uniform", "fixed"):
-            raise ValueError(
-                f"sim.d2d_dist must be 'uniform' or 'fixed', got {self.d2d_dist!r}"
-            )
-        if self.mode == "ppp" and self.d2d_dist == "fixed":
-            raise ValueError("sim.d2d_dist must be 'uniform' in ppp mode")
-        if self.d2d_dist == "fixed" and self.d_fixed is None:
-            raise ValueError("sim.d_fixed is required with d2d_dist='fixed'")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    def check_cell(self, cell: CellConfig) -> None:
-        """The cell-dependent rules: a fixed link length lies in [d_min, d_max],
-        and a PPP density expects at most PPP_MAX_PAIRS feasible node pairs,
-        0.5 * N^2 * (d_max^2 - d_min^2) / r_cell^2 for N = density * pi r_cell^2.
-        """
-        if self.d_fixed is not None and not cell.d_min_m <= self.d_fixed <= cell.d_max_m:
-            raise ValueError(
-                f"sim.d_fixed must lie in [{cell.d_min_m}, {cell.d_max_m}], got {self.d_fixed}"
-            )
-        if self.mode == "ppp":
-            x = self.density * math.pi * cell.r_cell_m
-            pairs = 0.5 * x * x * (cell.d_max_m * cell.d_max_m - cell.d_min_m * cell.d_min_m)
-            if not pairs <= PPP_MAX_PAIRS:
-                raise ValueError(
-                    f"sim.densities: {self.density} nodes/m^2 expects {pairs:.3g} feasible "
-                    f"node pairs in this cell, more than {PPP_MAX_PAIRS:.0e}"
-                )
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "NOISE_MODES",
     "PathLossModel",
@@ -106,7 +104,8 @@ class PathLossModel:
 
 def path_loss(model: PathLossModel, d):
     """Linear path-loss gain beta / d**alpha at distance d > 0 (metres)."""
-    if np.any(np.asarray(d) <= 0.0):
+    nonpositive = d <= 0.0  # a bool, or a numpy bool or bool array
+    if nonpositive if isinstance(nonpositive, bool) else nonpositive.any():
         raise ValueError("path loss is undefined at non-positive distance")
     return model.gain(d)
 

@@ -16,18 +16,19 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
-import numpy as np
 import yaml
 
-from .mcsim import TrialConfig
 from .propagation import CellConfig, PathLossModel, RadioConfig, cue_rx_power
 
 __all__ = [
     "ScenarioError",
     "SweepAxis",
+    "TrialConfig",
+    "PPP_MAX_PAIRS",
     "Scenario",
     "load_scenario",
     "format_float",
@@ -89,8 +90,22 @@ class SweepAxis:
     stop: float
     steps: int
 
-    def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.steps)
+    def values(self) -> list[float]:
+        """np.linspace(start, stop, steps) in plain floats, bit for bit:
+        numpy's recipe, including its rescaling when the step underflows
+        to 0 and its undefined step (a product with 0) at one point."""
+        start, stop, num = self.start, self.stop, self.steps
+        delta = stop - start
+        if num == 1:
+            return [0.0 * delta + start]
+        div = num - 1
+        step = delta / div
+        if step == 0.0:
+            points = [i / div * delta + start for i in range(num)]
+        else:
+            points = [i * step + start for i in range(num)]
+        points[-1] = stop
+        return points
 
 
 _AXIS_NAMES = ("d_cb", "p_due")
@@ -98,6 +113,68 @@ _AXIS_NAMES = ("d_cb", "p_due")
 MAX_SWEEP_STEPS = 100_000
 #: versus.name -> the RadioConfig field it sets
 _VERSUS_FIELDS = {"p_cue_max": "p_cue_max_mw", "bitrate": "bitrate_bps"}
+#: Largest expected count of feasible node pairs a PPP trial may face.
+#: Pairing holds about 95 bytes per feasible pair (237 MiB traced at
+#: 1e-2 nodes/m^2 in the preset cell, 2.5M pairs), so this is about 1 GiB.
+PPP_MAX_PAIRS = 1e7
+
+
+@dataclass(frozen=True)
+class TrialConfig:
+    """Deterministic description of one simulation trial.
+
+    mode is "saturation" or "ppp" (the latter needs `density` in
+    nodes/m^2); d2d_dist is "uniform" over the allowed link range or
+    "fixed" at `d_fixed` metres, in saturation mode only (PPP links are
+    node distances).  The seed, together with a trial index, fully
+    determines the trial.  The checks below, with `check_cell`, are the
+    sim-option rules; `load_scenario` builds its records through them, so
+    the messages name the config fields.
+    """
+
+    mode: str = "saturation"
+    density: float | None = None
+    d2d_dist: str = "uniform"
+    d_fixed: float | None = None
+    d_cb: float = 0.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in ("saturation", "ppp"):
+            raise ValueError(f"sim.mode must be 'saturation' or 'ppp', got {self.mode!r}")
+        if self.density is None:
+            if self.mode == "ppp":
+                raise ValueError("sim.densities must give a density in ppp mode")
+        elif not self.density > 0.0:
+            raise ValueError(f"sim.densities must all be > 0, got {self.density}")
+        if self.d2d_dist not in ("uniform", "fixed"):
+            raise ValueError(
+                f"sim.d2d_dist must be 'uniform' or 'fixed', got {self.d2d_dist!r}"
+            )
+        if self.mode == "ppp" and self.d2d_dist == "fixed":
+            raise ValueError("sim.d2d_dist must be 'uniform' in ppp mode")
+        if self.d2d_dist == "fixed" and self.d_fixed is None:
+            raise ValueError("sim.d_fixed is required with d2d_dist='fixed'")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    def check_cell(self, cell: CellConfig) -> None:
+        """The cell-dependent rules: a fixed link length lies in [d_min, d_max],
+        and a PPP density expects at most PPP_MAX_PAIRS feasible node pairs,
+        0.5 * N^2 * (d_max^2 - d_min^2) / r_cell^2 for N = density * pi r_cell^2.
+        """
+        if self.d_fixed is not None and not cell.d_min_m <= self.d_fixed <= cell.d_max_m:
+            raise ValueError(
+                f"sim.d_fixed must lie in [{cell.d_min_m}, {cell.d_max_m}], got {self.d_fixed}"
+            )
+        if self.mode == "ppp":
+            x = self.density * math.pi * cell.r_cell_m
+            pairs = 0.5 * x * x * (cell.d_max_m * cell.d_max_m - cell.d_min_m * cell.d_min_m)
+            if not pairs <= PPP_MAX_PAIRS:
+                raise ValueError(
+                    f"sim.densities: {self.density} nodes/m^2 expects {pairs:.3g} feasible "
+                    f"node pairs in this cell, more than {PPP_MAX_PAIRS:.0e}"
+                )
 
 
 @dataclass

@@ -367,3 +367,12 @@ def test_sweep_solver_failure_is_nan_row(tmp_path):
     assert first[2:] == ["nan", "nan", "nan"]
     assert len(rest) == 2
     assert all(math.isfinite(float(v)) for row in rest for v in row)
+
+
+def test_simulate_default_cue_axis_ends_at_small_cell_edge(tmp_path):
+    cfg = tmp_path / "small_cell.yaml"
+    cfg.write_text("cell: {r_cell_m: 151.0}\n")
+    code, out = run(["simulate", "--config", str(cfg), "--trials", "2"], tmp_path)
+    assert code == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert [float(row[0]) for row in rows[1:]] == [0.0, 37.75, 75.5, 113.25, 151.0]

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,10 +49,21 @@ def test_default_models_match_reference_points(radio):
 
 
 def test_path_loss_rejects_nonpositive_distance(radio):
-    with pytest.raises(ValueError):
-        path_loss(radio.pl_bs, 0.0)
-    with pytest.raises(ValueError):
-        path_loss(radio.pl_bs, -5.0)
+    bad = [0.0, -5.0, 0, np.float64(0.0), np.float32(-1.0), np.array([3.0, 0.0, 7.0]), np.array(-2.0)]
+    for d in bad:
+        with pytest.raises(ValueError):
+            path_loss(radio.pl_bs, d)
+
+
+def test_path_loss_keeps_numpy_forms_and_passes_nan(radio):
+    d = np.array([1.0, 10.0, 1000.0])
+    gains = path_loss(radio.pl_due, d)
+    assert isinstance(gains, np.ndarray)
+    expected = [path_loss(radio.pl_due, float(x)) for x in d]
+    assert gains.tolist() == pytest.approx(expected, rel=1e-12)
+    assert isinstance(path_loss(radio.pl_due, np.float64(10.0)), np.float64)
+    assert math.isnan(path_loss(radio.pl_due, math.nan))
+    assert np.isnan(path_loss(radio.pl_due, np.array([5.0, np.nan]))[1])
 
 
 @given(
