@@ -55,7 +55,7 @@ def _open_out(path: str | None):
 
 def _emit(scenario: Scenario, rows: list[dict], fh) -> None:
     """Write the rows to `fh`; the first row's keys are the columns."""
-    config = scenario.resolved_config()
+    config = scenario.header
     if scenario.fmt == "json":
         payload = {
             "config": config,
@@ -148,6 +148,12 @@ def cmd_simulate(scenario: Scenario) -> list[dict]:
     calling thread; trial t of grid point p runs on random stream
     p * trials + t.  The default CUE axis ends at 400 m or at the cell
     edge, whichever is nearer.
+
+    t_lower_bps and t_upper_bps are the paper's hexagonal-packing bounds
+    for links spread over [d_min, d_max], whatever sim.d2d_dist says.
+    Random sequential packing jams at a coverage of about 0.547, against
+    0.907 for hexagonal packing, so a fixed-link run can fall below
+    t_lower_bps: the preset with d_fixed 150 m places 5.8 pairs against 11.
     """
     from . import mcsim  # numpy loads here, not for the analytic commands
 

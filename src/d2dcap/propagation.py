@@ -10,7 +10,7 @@ source of silent unit bugs, so the conversion happens exactly once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "NOISE_MODES",
@@ -110,17 +110,6 @@ def path_loss(model: PathLossModel, d):
     return model.gain(d)
 
 
-# Urban macro defaults: BS link -128.1 dB at 1 km (-15.3 dB at 1 m, written
-# out because from_db_at rounds it to -15.300000000000011 and the preset
-# says -15.3), device link -38 dB at 1 m, both with exponent 3.76.
-def _default_pl_bs() -> PathLossModel:
-    return PathLossModel(exponent=3.76, intercept_db=-15.3)
-
-
-def _default_pl_due() -> PathLossModel:
-    return PathLossModel.from_db_at(1.0, -38.0, 3.76)
-
-
 @dataclass(frozen=True)
 class RadioConfig:
     """All radio-layer scalars shared by the solvers and the simulator.
@@ -135,8 +124,9 @@ class RadioConfig:
     bitrate_bps: float = 2e6
     p_cue_max_mw: float = 200.0
     p_due_mw: float = 0.7
-    pl_bs: PathLossModel = field(default_factory=_default_pl_bs)
-    pl_due: PathLossModel = field(default_factory=_default_pl_due)
+    # urban macro: the BS link is -128.1 dB at 1 km, the device link -38 dB at 1 m
+    pl_bs: PathLossModel = PathLossModel(exponent=3.76, intercept_db=-15.3)
+    pl_due: PathLossModel = PathLossModel(exponent=3.76, intercept_db=-38.0)
     sir_due: float | None = None
     sir_bs: float | None = None
     noise_mode: str = "per-hz"

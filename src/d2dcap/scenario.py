@@ -2,8 +2,8 @@
 
 A scenario bundles the radio and cell parameters with the sweep axes,
 trial counts and output destination for one CLI run.  Config files are
-YAML with nested sections (see `DEFAULT_YAML` for the full schema); CLI
-flags override file values.  Unknown keys and out-of-range values raise
+YAML with nested sections; `DEFAULT_YAML` is the schema, giving each key's
+default and type.  CLI flags override file values.  Unknown keys and out-of-range values raise
 ScenarioError naming the offending field.
 
 The preset used when no file is given is the urban single-cell parameter
@@ -18,7 +18,7 @@ import copy
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 import yaml
 
@@ -42,9 +42,9 @@ radio:
   bitrate_bps: 2.0e+6
   p_cue_max_mw: 200.0
   p_due_mw: 0.7
-  noise_mode: zero          # per-hz | total | zero
   sir_due: null             # null: Shannon threshold for bitrate in bandwidth
   sir_bs: null
+  noise_mode: zero          # per-hz | total | zero
   pl_bs:  {exponent: 3.76, intercept_db: -15.3}
   pl_due: {exponent: 3.76, intercept_db: -38.0}
 cell:
@@ -189,13 +189,16 @@ class Scenario:
     # one record per density in ppp mode, a single density-free one in
     # saturation mode; `simulate` sets d_cb per grid point
     sims: list[TrialConfig]
-    densities: list[float]
     trials: int
     out: str | None
     fmt: str
     # raw keyword dicts kept so sweeps can rebuild configs with re-derived
     # defaults (e.g. Shannon SIR thresholds tracking a swept bitrate)
     radio_kwargs: dict = field(default_factory=dict, repr=False)
+    # the artifact header: every key of DEFAULT_YAML but output.*, dotted,
+    # in its order; output path and format are left out on purpose, since
+    # the emitted bytes must not depend on them
+    header: dict = field(default_factory=dict, repr=False)
 
     def axis(self, name: str, default: SweepAxis) -> SweepAxis:
         for ax in self.sweep:
@@ -208,53 +211,13 @@ class Scenario:
         return _VERSUS_FIELDS[self.versus_name]
 
     def radio_with(self, **overrides) -> RadioConfig:
-        kwargs = dict(self.radio_kwargs)
-        kwargs.update(overrides)
-        return _build_radio(kwargs)
-
-    def resolved_config(self) -> dict:
-        """Flat, ordered view of everything that determines the results.
-
-        Output path and format are excluded on purpose: the emitted bytes
-        must not depend on them.
-        """
-        r, c, sim = self.radio, self.cell, self.sims[0]
-        cfg = {
-            "radio.bandwidth_hz": r.bandwidth_hz,
-            "radio.noise_density_dbm_hz": r.noise_density_dbm_hz,
-            "radio.bitrate_bps": r.bitrate_bps,
-            "radio.p_cue_max_mw": r.p_cue_max_mw,
-            "radio.p_due_mw": r.p_due_mw,
-            "radio.sir_due": r.sir_due,
-            "radio.sir_bs": r.sir_bs,
-            "radio.noise_mode": r.noise_mode,
-            "radio.pl_bs.exponent": r.pl_bs.exponent,
-            "radio.pl_bs.intercept_db": r.pl_bs.intercept_db,
-            "radio.pl_due.exponent": r.pl_due.exponent,
-            "radio.pl_due.intercept_db": r.pl_due.intercept_db,
-            "cell.r_cell_m": c.r_cell_m,
-            "cell.d_min_m": c.d_min_m,
-            "cell.d_max_m": c.d_max_m,
-            "sweep": ";".join(
-                f"{a.name}:{format_float(a.start)}:{format_float(a.stop)}:{a.steps}"
-                for a in self.sweep
-            ),
-            "versus.name": self.versus_name,
-            "versus.values": ",".join(map(format_float, self.versus_values)),
-            "sim.mode": sim.mode,
-            "sim.d2d_dist": sim.d2d_dist,
-            "sim.d_fixed": sim.d_fixed,
-            "sim.densities": ",".join(map(format_float, self.densities)),
-            "trials": self.trials,
-            "seed": sim.seed,
-        }
-        return cfg
+        return _build(RadioConfig, {**self.radio_kwargs, **overrides})
 
 
-def _require(mapping: dict, allowed: tuple[str, ...], where: str):
-    for key in mapping:
-        if key not in allowed:
-            raise ScenarioError(f"unknown config key {where}.{key}")
+#: Keys whose preset is null but whose value, when given, is a number.
+_NULLABLE_NUMBERS = ("sir_due", "sir_bs", "d_fixed", "stop")
+#: The preset of one `sweep` entry; a null stop is the start.
+_AXIS_PRESET = {"name": None, "start": 0.0, "stop": None, "steps": 1}
 
 
 def _number(value, where: str) -> float:
@@ -271,89 +234,80 @@ def _integer(value, where: str) -> int:
     return value
 
 
-def _merge(base: dict, user: dict, where: str = "") -> None:
-    """Overlay `user` on the preset mapping `base`, whose keys are the schema.
+def _merge(base: dict, user, where: str = "") -> dict:
+    """Overlay `user` on the preset mapping `base`, whose keys and values are
+    the schema, and return `base`.
 
     Nested mappings merge key by key, so a partial override keeps the
-    preset's other values.  Where the preset holds a list the user gives a
-    list or null (an empty list).
+    preset's other values.  Where the preset holds a float the user gives a
+    finite number, stored as a float; where it holds an int, an integer;
+    where it holds a list, a list or null (an empty list) of numbers, or of
+    mappings merged onto `_AXIS_PRESET` for `sweep`.
     """
+    if not isinstance(user, dict):
+        raise ScenarioError(f"{where} must be a mapping")
     for key, value in user.items():
-        path = f"{where}{key}"
+        path = f"{where}.{key}" if where else f"{key}"
         if key not in base:
             raise ScenarioError(f"unknown config key {path}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ScenarioError(f"{path} must be a mapping")
-            _merge(base[key], value, f"{path}.")
-            continue
-        if isinstance(base[key], list) and not (value is None or isinstance(value, list)):
-            raise ScenarioError(f"{path} must be a list")
+        preset = base[key]
+        if isinstance(preset, dict):
+            value = _merge(preset, value, path)
+        elif isinstance(preset, list):
+            if not (value is None or isinstance(value, list)):
+                raise ScenarioError(f"{path} must be a list")
+            value = [
+                _merge(dict(_AXIS_PRESET), v, f"{path}[{n}]") if key == "sweep"
+                else _number(v, path)
+                for n, v in enumerate(value or [])
+            ]
+        elif isinstance(preset, float) or (key in _NULLABLE_NUMBERS and value is not None):
+            value = _number(value, path)
+        elif isinstance(preset, int):
+            value = _integer(value, path)
         base[key] = value
+    return base
 
 
-def _build_pl(data: dict, where: str) -> PathLossModel:
+def _build(cls, kwargs: dict, where: str = ""):
+    """cls(**kwargs) from checked values; its ValueError becomes a ScenarioError."""
     try:
-        return PathLossModel(
-            exponent=_number(data["exponent"], f"{where}.exponent"),
-            intercept_db=_number(data["intercept_db"], f"{where}.intercept_db"),
-        )
+        return cls(**kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise ScenarioError(f"{where}{exc}") from exc
 
 
-def _build_radio(kwargs: dict) -> RadioConfig:
-    try:
-        return RadioConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-
-def _radio_kwargs(data: dict) -> dict:
-    kwargs: dict = {}
-    for name, value in data.items():
-        where = f"radio.{name}"
-        if name in ("pl_bs", "pl_due"):
-            kwargs[name] = _build_pl(value, where)
-        elif name == "noise_mode":
-            kwargs[name] = value
-        elif value is not None or name not in ("sir_due", "sir_bs"):
-            # a null SIR threshold is left to RadioConfig's Shannon default
-            kwargs[name] = _number(value, where)
-    return kwargs
-
-
-def _build_cell(data: dict) -> CellConfig:
-    kwargs = {k: _number(v, f"cell.{k}") for k, v in data.items()}
-    try:
-        return CellConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-
-def _build_axes(entries, cell: CellConfig) -> list[SweepAxis]:
+def _build_axes(entries: list[dict], cell: CellConfig) -> list[SweepAxis]:
     axes = []
-    for n, entry in enumerate(entries or []):
+    for n, entry in enumerate(entries):
         where = f"sweep[{n}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{where} must be a mapping")
-        _require(entry, ("name", "start", "stop", "steps"), where)
-        name = entry.get("name")
+        name, start, stop, steps = entry["name"], entry["start"], entry["stop"], entry["steps"]
         if name not in _AXIS_NAMES:
             raise ScenarioError(f"{where}.name must be one of {_AXIS_NAMES}, got {name!r}")
         if any(ax.name == name for ax in axes):
             raise ScenarioError(f"{where}.name {name!r} repeats an earlier sweep axis")
-        steps = _integer(entry.get("steps", 1), f"{where}.steps")
         if not 1 <= steps <= MAX_SWEEP_STEPS:
             raise ScenarioError(f"{where}.steps must lie in [1, {MAX_SWEEP_STEPS}], got {steps}")
-        start = _number(entry.get("start", 0.0), f"{where}.start")
-        stop = _number(entry.get("stop", start), f"{where}.stop")
+        stop = start if stop is None else stop
         if name == "d_cb" and not (0.0 <= start <= stop <= cell.r_cell_m):
             raise ScenarioError(
                 f"{where}: d_cb range [{start}, {stop}] outside [0, {cell.r_cell_m}]"
             )
         axes.append(SweepAxis(name=name, start=start, stop=stop, steps=steps))
     return axes
+
+
+def _flatten(mapping: dict, prefix: str = "") -> dict:
+    """Nested mappings and dataclasses as one mapping with dotted keys, in order."""
+    flat = {}
+    for key, value in mapping.items():
+        if is_dataclass(value):
+            value = asdict(value)
+        if isinstance(value, dict):
+            flat.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
 
 
 def load_scenario(
@@ -364,8 +318,12 @@ def load_scenario(
     out: str | None = None,
     fmt: str | None = None,
 ) -> Scenario:
-    """Build a Scenario from a YAML file (or the built-in preset) plus overrides."""
-    data = copy.deepcopy(_preset())
+    """Build a Scenario from a YAML file (or the built-in preset) plus overrides.
+
+    The seed and trials overrides replace the file's values before they are
+    checked.
+    """
+    user = {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -378,11 +336,15 @@ def load_scenario(
             user = {}
         if not isinstance(user, dict):
             raise ScenarioError("config root must be a mapping")
-        _merge(data, user)
+    flags = {k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None}
+    data = _merge(copy.deepcopy(_preset()), user | flags)
 
-    radio_kwargs = _radio_kwargs(data["radio"])
-    radio = _build_radio(radio_kwargs)
-    cell = _build_cell(data["cell"])
+    radio_kwargs = {
+        k: _build(PathLossModel, v, f"radio.{k}: ") if isinstance(v, dict) else v
+        for k, v in data["radio"].items()
+    }
+    radio = _build(RadioConfig, radio_kwargs)
+    cell = _build(CellConfig, data["cell"])
     try:
         cue_rx_power(radio, cell)
     except OverflowError:
@@ -393,31 +355,25 @@ def load_scenario(
     axes = _build_axes(data["sweep"], cell)
 
     versus = data["versus"]
-    versus_name = versus["name"]
+    versus_name, versus_values = versus["name"], versus["values"]
     if not isinstance(versus_name, str) or versus_name not in _VERSUS_FIELDS:
         raise ScenarioError(
             f"versus.name must be one of {tuple(_VERSUS_FIELDS)}, got {versus_name!r}"
         )
-    versus_values = [_number(v, "versus.values") for v in versus["values"] or []]
     if not versus_values:
         raise ScenarioError("versus.values must not be empty")
 
     sim = data["sim"]
-    densities = [_number(v, "sim.densities") for v in sim["densities"] or []]
-    d_fixed = sim["d_fixed"]
-    if d_fixed is not None:
-        d_fixed = _number(d_fixed, "sim.d_fixed")
-    seed = seed if seed is not None else _integer(data["seed"], "seed")
     try:
         sims = [
             TrialConfig(
                 mode=sim["mode"],
                 density=density,
                 d2d_dist=sim["d2d_dist"],
-                d_fixed=d_fixed,
-                seed=seed,
+                d_fixed=sim["d_fixed"],
+                seed=data["seed"],
             )
-            for density in densities or [None]
+            for density in sim["densities"] or [None]
         ]
         for record in sims:
             record.check_cell(cell)
@@ -426,10 +382,16 @@ def load_scenario(
     if sims[0].mode == "saturation":
         sims = [replace(sims[0], density=None)]
 
-    output = data["output"]
+    output = data.pop("output")
     if not (output["path"] is None or isinstance(output["path"], str)):
         raise ScenarioError(f"output.path must be a string or null, got {output['path']!r}")
 
+    data["radio"] = {k: getattr(radio, k) for k in data["radio"]}
+    data["sweep"] = ";".join(
+        f"{a.name}:{format_float(a.start)}:{format_float(a.stop)}:{a.steps}" for a in axes
+    )
+    versus["values"] = ",".join(map(format_float, versus_values))
+    sim["densities"] = ",".join(map(format_float, sim["densities"]))
     scenario = Scenario(
         radio=radio,
         cell=cell,
@@ -437,11 +399,11 @@ def load_scenario(
         versus_name=versus_name,
         versus_values=versus_values,
         sims=sims,
-        densities=densities,
-        trials=trials if trials is not None else _integer(data["trials"], "trials"),
+        trials=data["trials"],
         out=out if out is not None else output["path"],
         fmt=fmt if fmt is not None else output["format"],
         radio_kwargs=radio_kwargs,
+        header=_flatten(data),
     )
     if scenario.trials < 1:
         raise ScenarioError(f"trials must be >= 1, got {scenario.trials}")

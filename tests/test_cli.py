@@ -5,12 +5,13 @@ import threading
 from pathlib import Path
 
 import pytest
+import yaml
 
 from d2dcap import mcsim
 from d2dcap.cli import main
 from d2dcap.guard import guard_distances
 from d2dcap.propagation import CellConfig, RadioConfig
-from d2dcap.scenario import ScenarioError, load_scenario
+from d2dcap.scenario import DEFAULT_YAML, ScenarioError, load_scenario
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -239,6 +240,30 @@ def test_header_keeps_nine_digits(tmp_path):
 
 def test_preset_radio_is_the_library_default():
     assert load_scenario().radio == RadioConfig(noise_mode="zero")
+    assert load_scenario().cell == CellConfig()
+
+
+def _leaf_keys(mapping, prefix=""):
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["guard", "bounds", "sweep", "simulate"])
+def test_header_lists_the_schema_keys_in_order(tmp_path, command, fmt):
+    keys = [k for k in _leaf_keys(yaml.safe_load(DEFAULT_YAML)) if not k.startswith("output.")]
+    args = [command, "--config", str(DATA / "small.yaml"), "--trials", "1", "--format", fmt]
+    code, out = run(args, tmp_path)
+    assert code == 0
+    text = out.read_text()
+    if fmt == "json":
+        header = list(json.loads(text)["config"])
+    else:
+        header = [l[2:].split("=", 1)[0] for l in text.splitlines() if l.startswith("# ")]
+    assert header == keys
 
 
 def test_user_config_leaves_the_cached_preset_untouched(tmp_path):
@@ -304,6 +329,12 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ),
         ("sweep: [{name: d_cb, start: 0.0, stop: 2.0, steps: 10000000000000}]\n", "sweep[0].steps"),
         ("sweep: [{name: p_due, start: 0.1, stop: 2.0, steps: 100001}]\n", "sweep[0].steps"),
+        ("cell: {d_min_m: true}\n", "cell.d_min_m"),
+        ("radio: {sir_bs: abc}\n", "radio.sir_bs"),
+        ("sim: {d_fixed: abc}\n", "sim.d_fixed"),
+        ("sweep: [{name: d_cb, stop: x}]\n", "sweep[0].stop"),
+        ("sweep: [{name: d_cb, bogus: 1}]\n", "sweep[0].bogus"),
+        ("sweep: [3]\n", "sweep[0]"),
     ],
 )
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
@@ -323,7 +354,15 @@ def test_ppp_density_bounded_by_expected_pairs(tmp_path):
         with pytest.raises(ScenarioError, match=r"sim\.densities"):
             load_scenario(str(cfg))
     cfg.write_text("sim: {mode: ppp, densities: [1.0e-2]}\n")
-    assert load_scenario(str(cfg)).densities == [1.0e-2]
+    assert [s.density for s in load_scenario(str(cfg)).sims] == [1.0e-2]
+
+
+def test_trials_flag_replaces_the_file_value_before_it_is_checked(tmp_path):
+    cfg = tmp_path / "float_trials.yaml"
+    cfg.write_text("trials: 2.0\n")
+    code, out = run(["simulate", "--config", str(cfg), "--trials", "2"], tmp_path)
+    assert code == 0
+    assert "# trials=2\n" in out.read_text()
 
 
 def test_negative_seed_flag_exits_2(capsys):
