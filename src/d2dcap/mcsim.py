@@ -8,8 +8,8 @@ Two deployment modes validate the analytical bounds:
   fit, and the trial ends when no such cell is left;
 * ppp: a Poisson number of nodes scattered in the cell, greedily matched
   into pairs within the allowed link range, then admitted in random order;
-  candidate pairs come from a cell list and the matching runs in rounds,
-  so memory grows with the feasible pair count rather than N^2.
+  candidate pairs come from a cell list one distance shell at a time, far
+  shells only among unmatched nodes, so memory grows with one shell's pairs.
 
 Both samplers admit through one kernel, `_Arena.admit`: every accepted
 pair respects the hard-core rules (inside the cell, clear of the BS guard
@@ -285,9 +285,9 @@ def _feasible_pairs(px, py, d_min: float, d_max: float):
     Nodes are binned on a grid of pitch just over d_max, so every feasible
     partner of a node sits in its own bin or one of the 8 around it; each
     bin is joined with itself and with 4 forward neighbours (a half
-    stencil), so no pair is listed twice and nothing of size N x N is
-    built.  Distances are np.hypot(px[a] - px[b], py[a] - py[b]), and ties
-    are broken by a * n + b: the stable order of the full distance matrix
+    stencil), so no pair is listed twice and memory grows with the pairs in
+    neighbouring bins.  Distances are np.hypot(px[a] - px[b], py[a] - py[b]);
+    ties go by a * n + b, the stable order of the full distance matrix
     scanned row by row above its diagonal.  Returns (a, b, distance).
     """
     n = len(px)
@@ -349,6 +349,33 @@ def _greedy_matching(a, b, n: int):
     return np.flatnonzero(taken)
 
 
+def _match_in_shells(px, py, d_min: float, d_max: float, first: float):
+    """Pairs that one greedy scan of all feasible pairs, nearest first, would
+    match: (a, b, distance) in scan order, for two nodes or more.
+
+    The scan runs shell by shell among the nodes still unmatched: [d_min, r]
+    for r = max(2 d_min, first), then (r, 2r] and so on, each an octave or
+    more wide, the last ending at d_max.  A shell's edges precede the next
+    one's, and no feasible pair within r joins two unmatched nodes (the scan
+    took it), so each shell is listed from d_min and the scans agree; node
+    subsets stay ascending, which keeps the ties of `_feasible_pairs`.
+    """
+    used = np.zeros(len(px), dtype=bool)
+    nodes, parts = np.arange(len(px)), []
+    hi = max(2.0 * d_min, first)
+    while True:
+        hi = hi if 2.0 * hi <= d_max else d_max
+        a, b, d = _feasible_pairs(px[nodes], py[nodes], d_min, hi)
+        taken = _greedy_matching(a, b, len(nodes))
+        a, b = nodes[a[taken]], nodes[b[taken]]
+        used[a] = used[b] = True
+        parts.append((a, b, d[taken]))
+        nodes = np.flatnonzero(~used)
+        if hi == d_max or len(nodes) < 2:
+            return tuple(np.concatenate(col) for col in zip(*parts))
+        hi *= 2.0
+
+
 def run_ppp_trial(
     cfg: TrialConfig,
     radio: RadioConfig,
@@ -359,10 +386,11 @@ def run_ppp_trial(
     """Poisson node deployment, greedy pairing, random-order admission.
 
     N ~ Poisson(density * cell area) nodes land uniformly in the cell.
-    Feasible node pairs (link length within [d_min, d_max]) come from a
-    cell list and are matched greedily in ascending-distance order, each
-    node at most once, in rounds of locally dominant pairs; memory grows
-    with the number of feasible pairs, not with N^2.  The matched pairs are
+    Feasible node pairs (link length within [d_min, d_max]) are matched
+    greedily in ascending-distance order, each node at most once, one
+    distance shell at a time, the first out to about the node spacing
+    1/sqrt(density) (`_match_in_shells`): memory grows with the near pairs
+    of each shell, not with every feasible pair.  The matched pairs are
     then admitted in random order under the same placement rules as
     saturation mode.
     """
@@ -377,9 +405,8 @@ def run_ppp_trial(
         theta = rng.uniform(0.0, 2.0 * math.pi, n_nodes)
         px = rho * np.cos(theta)
         py = rho * np.sin(theta)
-        a, b, dd = _feasible_pairs(px, py, cell.d_min_m, cell.d_max_m)
-        matched = _greedy_matching(a, b, n_nodes)
-        shuffle = matched[rng.permutation(len(matched))]
+        a, b, dd = _match_in_shells(px, py, cell.d_min_m, cell.d_max_m, 1 / math.sqrt(cfg.density))
+        shuffle = rng.permutation(len(a))
         a, b, dd = a[shuffle], b[shuffle], dd[shuffle]
         cx = 0.5 * (px[a] + px[b])
         cy = 0.5 * (py[a] + py[b])

@@ -114,8 +114,9 @@ MAX_SWEEP_STEPS = 100_000
 #: versus.name -> the RadioConfig field it sets
 _VERSUS_FIELDS = {"p_cue_max": "p_cue_max_mw", "bitrate": "bitrate_bps"}
 #: Largest expected count of feasible node pairs a PPP trial may face.
-#: Pairing holds about 95 bytes per feasible pair (237 MiB traced at
-#: 1e-2 nodes/m^2 in the preset cell, 2.5M pairs), so this is about 1 GiB.
+#: Pairing lists them one distance shell at a time, so its memory grows
+#: with each shell's near pairs (2.6 MiB traced at 1e-2 nodes/m^2 in the
+#: preset cell, 2.5M feasible pairs), not with this count.
 PPP_MAX_PAIRS = 1e7
 
 

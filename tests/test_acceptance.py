@@ -276,6 +276,41 @@ def test_criterion_07_simulation_bracketed_by_bounds():
     assert ok, details
 
 
+@pytest.mark.parametrize(
+    "regime, radio, cell",
+    [
+        (
+            bounds.REGIME_LOW,
+            RadioConfig(noise_mode="zero", p_due_mw=0.05, p_cue_max_mw=100.0),
+            CellConfig(d_max_m=55.0),
+        ),
+        (
+            bounds.REGIME_HIGH,
+            RadioConfig(noise_mode="zero", p_due_mw=0.003, p_cue_max_mw=380.0),
+            CellConfig(d_max_m=145.0),
+        ),
+    ],
+)
+def test_simulation_bracketed_by_bounds_in_other_slope_regimes(regime, radio, cell):
+    # criterion 7 runs the preset (Kth1 < K <= Kth2); these are the benchmark's
+    # d_max 55 m and K > Kth2 recipes.  The thinnest margin, K > Kth2 at
+    # d_cb = 100 m, is about 4 standard errors above t_lower.
+    gd = guard_distances(radio, cell)
+    trials = 48
+    for point, d_cb in enumerate((0.0, 100.0, 250.0, 400.0)):
+        area = bounds.deployable_area(d_cb, gd, cell)
+        assert area.regime == regime
+        tb = bounds.throughput_bounds(area, gd, radio.bitrate_bps)
+        cfg = TrialConfig(d_cb=d_cb, seed=7)
+        mean_tp = np.mean(
+            [
+                run_saturation_trial(cfg, radio, cell, gd, point * trials + t).throughput_bps
+                for t in range(trials)
+            ]
+        )
+        assert tb.t_lower_bps <= mean_tp <= tb.t_upper_bps, (d_cb, tb, mean_tp)
+
+
 def test_criterion_08_rotation_insensitivity():
     cell = CellConfig()
     radio = RadioConfig(noise_mode="zero")

@@ -13,6 +13,7 @@ from d2dcap.mcsim import (
     _Arena,
     _feasible_pairs,
     _greedy_matching,
+    _match_in_shells,
     _saturate,
     aggregate,
     evaluate_sir,
@@ -165,6 +166,24 @@ def test_cell_list_matching_matches_quadratic_oracle(name):
     assert list(zip(a[taken].tolist(), b[taken].tolist())) == matched
 
 
+@pytest.mark.parametrize("name", list(NODE_SETS))
+def test_shelled_matching_matches_quadratic_oracle(name):
+    # first radii below d_min, at d_max and beyond, and at the node spacing
+    # 1/sqrt(density) over the set's bounding box (0 for the two-node set);
+    # on the lattices also the tie distances 2 and sqrt(5), and a d_max of
+    # 10 under which sqrt(5) and 2 sqrt(5) both end shells
+    px, py, d_min, d_max = NODE_SETS[name]()
+    spacing = math.sqrt(np.ptp(px) * np.ptp(py) / len(px))
+    cases = [(d_max, first) for first in (0.5 * d_min, d_max, 2.0 * d_max, spacing)]
+    if name.startswith("lattice-"):
+        cases += [(top, first) for top in (d_max, 10.0) for first in (2.0, np.hypot(1.0, 2.0))]
+    for top, first in cases:
+        *_, matched = quadratic_pairing(px, py, d_min, top)
+        a, b, d = _match_in_shells(px, py, d_min, top, float(first))
+        assert list(zip(a.tolist(), b.tolist())) == matched, (top, first)
+        np.testing.assert_array_equal(d, np.hypot(px[a] - px[b], py[a] - py[b]))
+
+
 def test_ppp_trial_memory_bounded_at_dense_deployment(radio, cell, gd):
     # about 7,850 nodes: the former N x N float64 matrix alone took ~470 MiB
     cfg = TrialConfig(mode="ppp", density=1e-2, d_cb=200.0, seed=3)
@@ -176,6 +195,20 @@ def test_ppp_trial_memory_bounded_at_dense_deployment(radio, cell, gd):
         tracemalloc.stop()
     assert res.n_pairs > 0
     assert peak < 300 * 2**20
+
+
+def test_ppp_trial_pairs_by_shells_at_dense_deployment(radio, cell, gd):
+    # listing every feasible pair at once took 237 MiB here; the near
+    # shells of about 7,850 nodes need a few MiB
+    cfg = TrialConfig(mode="ppp", density=1e-2, d_cb=200.0, seed=3)
+    tracemalloc.start()
+    try:
+        res = run_ppp_trial(cfg, radio, cell, gd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_pairs > 0
+    assert peak < 16 * 2**20
 
 
 def test_saturation_trial_memory_bounded(radio, cell, gd):
