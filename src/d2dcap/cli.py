@@ -109,10 +109,12 @@ def cmd_sweep(scenario: Scenario) -> list[dict]:
 
     The second axis is either the maximum CUE power or the bit rate.
     A point where a solver gives up is emitted with NaN for every
-    quantity it could not solve rather than aborting the sweep.
+    quantity it could not solve rather than aborting the sweep.  Each
+    g_b solve reuses the ring sums of the previous point's bisection.
     """
     axis = scenario.axis("p_due", SweepAxis("p_due", 0.25, 6.0, 24))
     cell = scenario.cell
+    sums: dict = {}
     rows = []
     for versus_value in scenario.versus_values:
         for p_due in axis.values():
@@ -122,7 +124,7 @@ def cmd_sweep(scenario: Scenario) -> list[dict]:
             g_d = g_b = t_upper = math.nan
             try:
                 g_d, _ = guard.solve_gd(radio, cell)
-                g_b = guard.solve_gb(radio, cell, g_d)
+                g_b = guard.solve_gb(radio, cell, g_d, sums)
                 t_upper = bounds.packing_upper_bound(
                     hexpack.packed_layout(g_d, g_b, cell).n_total, radio.bitrate_bps
                 )

@@ -171,22 +171,39 @@ def compute_gc(k: float, d_cb: float) -> float:
     return k * d_cb
 
 
-def solve_gb(cfg: RadioConfig, cell: CellConfig, g_d: float) -> float:
+def solve_gb(
+    cfg: RadioConfig, cell: CellConfig, g_d: float, sums: dict | None = None
+) -> float:
     """Smallest BS guard radius satisfying the BS SIR constraint.
 
-    For a candidate g_b the hexagonal layout of minimum-size exclusion
-    disks is built and its accumulated interference I(g_b) compared with
-    the cap P_r,CB / sir_bs.  The feasibility boundary is located by
+    A candidate g_b is feasible when the accumulated interference of the
+    hexagonal layout of minimum-size exclusion disks, 3 p_due times
+    `hexpack.ring_sum`, stays within the cap P_r,CB / sir_bs; the layout
+    itself is not built.  The feasibility boundary is located by
     bisection on [g_d / 2, r_cell] to absolute tolerance GB_TOL_M; the lower
     end keeps the deployable ring's inner radius non-negative and is
     returned directly when feasible everywhere.  Raises Infeasible when
     only configurations with zero admissible pairs satisfy the constraint.
+
+    `sums`, if given, maps (g_d, g_b) to ring sums of an earlier solve in
+    the same cell under the same BS path loss.  Those sums are reused, and
+    the dict is then left holding this solve's bisection path alone (about
+    log2(r_cell / GB_TOL_M) entries).  A p_due sweep passes one dict: the
+    ring sum does not depend on p_due, so neighbouring points, which share
+    the top of their bisection trees, share those sums.
     """
     cap = cue_rx_power(cfg, cell) / cfg.sir_bs
+    path = {} if sums is None else sums
+    known = path.copy()
+    path.clear()
 
     def feasible(g_b: float) -> bool:
-        layout = hexpack.packed_layout(g_d, g_b, cell)
-        return hexpack.bs_interference(layout, cfg.p_due_mw, cfg.pl_bs) <= cap
+        key = (g_d, g_b)
+        total = known.get(key)
+        if total is None:
+            total = hexpack.ring_sum(g_d, g_b, cell, cfg.pl_bs)
+        path[key] = total
+        return 3.0 * cfg.p_due_mw * total <= cap
 
     lo = g_d / 2.0
     hi = cell.r_cell_m

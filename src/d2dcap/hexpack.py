@@ -25,6 +25,7 @@ __all__ = [
     "build_layout",
     "packed_layout",
     "bs_interference",
+    "ring_sum",
     "first_layer_neighbors",
     "MAX_LAYERS",
     "LayoutTooLarge",
@@ -32,9 +33,9 @@ __all__ = [
 
 _SQRT3 = math.sqrt(3.0)
 
-#: Most layers `build_layout` lists.  A layout of L layers holds about
-#: 1.5 L^2 disks, which `bs_interference` sums one by one for every guard
-#: radius the BS solver tries.
+#: Most layers a layout may hold.  A layout of L layers holds about
+#: 1.5 L^2 disks, and `ring_sum` computes about half as many distinct
+#: terms, one pass over the layers per guard radius the BS solver tries.
 MAX_LAYERS = 1000
 
 
@@ -98,6 +99,25 @@ def hex_radii(g_b: float, r_cell: float) -> HexApprox:
     return HexApprox(r_h1=r_h1, r_h2=r_h2)
 
 
+def _layers(hexes: HexApprox, d_min: float, r_e_min: float):
+    """Yield (kappa_i, (n_excl, n_incl)) for each layer `build_layout` lists.
+
+    Raises LayoutTooLarge, before the first layer, beyond MAX_LAYERS layers.
+    """
+    arg = (hexes.r_h2 - hexes.r_h1 - d_min) / (2.0 * r_e_min)
+    if not arg < MAX_LAYERS:
+        raise LayoutTooLarge(
+            f"cell.r_cell_m: a ring of width {hexes.r_h2 - hexes.r_h1:.6g} m holds "
+            f"{arg:.3g} layers of disks of radius {r_e_min:.6g} m, more than {MAX_LAYERS}"
+        )
+    n_layers = 0 if arg < 0.0 else int(math.floor(arg)) + 1
+    base = hexes.r_h1 + d_min / 2.0
+    for i in range(1, n_layers + 1):
+        kappa_i = base + 2.0 * (i - 1) * r_e_min
+        n_excl = int(math.floor((base + (2 * i - 3) * r_e_min) / (2.0 * r_e_min)))
+        yield kappa_i, (max(n_excl, 0), int(math.floor(kappa_i / (2.0 * r_e_min))) + 1)
+
+
 def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayout:
     """Layered arrangement of disks of radius r_e_min in the hexagon ring.
 
@@ -111,21 +131,10 @@ def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayou
     excluding count is clamped at 0 for degenerate inner hexagons.  Raises
     LayoutTooLarge beyond MAX_LAYERS layers.
     """
-    arg = (hexes.r_h2 - hexes.r_h1 - d_min) / (2.0 * r_e_min)
-    if not arg < MAX_LAYERS:
-        raise LayoutTooLarge(
-            f"cell.r_cell_m: a ring of width {hexes.r_h2 - hexes.r_h1:.6g} m holds "
-            f"{arg:.3g} layers of disks of radius {r_e_min:.6g} m, more than {MAX_LAYERS}"
-        )
-    n_layers = 0 if arg < 0.0 else int(math.floor(arg)) + 1
-    base = hexes.r_h1 + d_min / 2.0
-    per_layer, kappa = [], []
-    for i in range(1, n_layers + 1):
-        kappa_i = base + 2.0 * (i - 1) * r_e_min
-        n_excl = int(math.floor((base + (2 * i - 3) * r_e_min) / (2.0 * r_e_min)))
-        per_layer.append((max(n_excl, 0), int(math.floor(kappa_i / (2.0 * r_e_min))) + 1))
-        kappa.append(kappa_i)
-    return PackingLayout(tuple(per_layer), tuple(kappa), r_e_min)
+    layers = list(_layers(hexes, d_min, r_e_min))
+    return PackingLayout(
+        tuple(counts for _, counts in layers), tuple(kappa for kappa, _ in layers), r_e_min
+    )
 
 
 def packed_layout(g_d: float, g_b: float, cell: CellConfig) -> PackingLayout:
@@ -138,26 +147,53 @@ def packed_layout(g_d: float, g_b: float, cell: CellConfig) -> PackingLayout:
     return build_layout(hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min)
 
 
+def _sum_layers(layers, r_e: float, pl_bs: PathLossModel) -> float:
+    """One-third ring sum of beta / d^alpha over (kappa_i, (n_excl, n_incl)) layers.
+
+    Within layer i (base distance kappa_i) the lattice offsets are
+    kappa_j = 2 j r_e on the excluding side and kappa_k = 2 (k - 1) r_e on
+    the including side; the 60-degree lattice direction gives BS distances
+    sqrt(kappa_i^2 + kappa^2 - kappa_i * kappa).  The two sides share most
+    offsets, so each offset's term is computed once; the terms are still
+    added excluding side, then including side, one layer at a time.
+    """
+    step = 2.0 * r_e
+    beta, alpha = pl_bs.beta, pl_bs.exponent
+    sqrt = math.sqrt
+    total = 0.0
+    for kappa_i, (n_excl, n_incl) in layers:
+        k2 = kappa_i**2
+        offsets = [step * m for m in range(max(n_excl + 1, n_incl))]
+        terms = [beta / sqrt(k2 + o * o - kappa_i * o) ** alpha for o in offsets]
+        # loops, not sum(): on Python >= 3.12 sum() compensates, giving other bits
+        layer = 0.0
+        for term in terms[1 : n_excl + 1]:
+            layer += term
+        for term in terms[:n_incl]:
+            layer += term
+        total += layer
+    return total
+
+
 def bs_interference(layout: PackingLayout, p_due: float, pl_bs: PathLossModel) -> float:
     """Aggregate received power (mW) at the BS from one transmitter per disk.
 
-    Each disk centre stands in for its transmitter.  Within layer i (base
-    distance kappa_i) the lattice offsets are kappa_j = 2 j r_e on the
-    excluding side and kappa_k = 2 (k - 1) r_e on the including side; the
-    60-degree lattice direction gives BS distances
-    sqrt(kappa_i^2 + kappa^2 - kappa_i * kappa).  Each layer is summed on
-    its own, and the one-third sum is tripled for the full ring.
+    Each disk centre stands in for its transmitter; the one-third ring
+    sum is tripled for the full ring.
     """
-    step = 2.0 * layout.r_e
-    beta, alpha = pl_bs.beta, pl_bs.exponent
-    total = 0.0
-    for kappa_i, (n_excl, n_incl) in zip(layout.kappa, layout.per_layer):
-        layer = 0.0
-        for m in (*range(1, n_excl + 1), *range(n_incl)):
-            offset = step * m
-            layer += beta / math.sqrt(kappa_i**2 + offset * offset - kappa_i * offset) ** alpha
-        total += layer
-    return 3.0 * p_due * total
+    layers = zip(layout.kappa, layout.per_layer)
+    return 3.0 * p_due * _sum_layers(layers, layout.r_e, pl_bs)
+
+
+def ring_sum(g_d: float, g_b: float, cell: CellConfig, pl_bs: PathLossModel) -> float:
+    """The one-third sum behind `bs_interference` of `packed_layout(g_d, g_b, cell)`.
+
+    3 p_due ring_sum(...) equals that interference bit for bit, without
+    building the layout.
+    """
+    r_e_min, _ = disk_radii(g_d, cell)
+    layers = _layers(hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min)
+    return _sum_layers(layers, r_e_min, pl_bs)
 
 
 def first_layer_neighbors(g_d: float, r_e_min: float, r_e_max: float) -> int:

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from d2dcap import mcsim
+from d2dcap import guard, hexpack, mcsim
 from d2dcap.cli import main
-from d2dcap.guard import guard_distances
+from d2dcap.guard import GB_TOL_M, guard_distances
 from d2dcap.propagation import CellConfig, RadioConfig
 from d2dcap.scenario import DEFAULT_YAML, ScenarioError, load_scenario
 
@@ -406,6 +406,55 @@ def test_sweep_solver_failure_is_nan_row(tmp_path):
     assert first[2:] == ["nan", "nan", "nan"]
     assert len(rest) == 2
     assert all(math.isfinite(float(v)) for row in rest for v in row)
+
+
+def test_sweep_keeps_one_bisection_path_of_ring_sums(tmp_path, monkeypatch):
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(
+        "sweep: [{name: p_due, start: 0.25, stop: 6.0, steps: 200}]\n"
+        "versus: {name: p_cue_max, values: [200.0]}\n"
+    )
+    shared = []
+    solve_gb = guard.solve_gb
+
+    def spy(radio, cell, g_d, sums=None):
+        shared.append(sums)
+        return solve_gb(radio, cell, g_d, sums)
+
+    monkeypatch.setattr(guard, "solve_gb", spy)
+    code, _ = run(["sweep", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    assert len(shared) == 200
+    sums = shared[0]
+    assert all(s is sums for s in shared)
+    (g_d,) = {key[0] for key in sums}
+    steps = math.ceil(math.log2((CellConfig().r_cell_m - g_d / 2.0) / GB_TOL_M))
+    assert 0 < len(sums) <= steps + 2
+
+
+def test_sweep_ring_sums_do_not_outlive_one_call(tmp_path, monkeypatch):
+    sizes_at_entry, summed = [], []
+    solve_gb, sum_layers = guard.solve_gb, hexpack._sum_layers
+
+    def spy(radio, cell, g_d, sums=None):
+        sizes_at_entry.append(len(sums))
+        return solve_gb(radio, cell, g_d, sums)
+
+    monkeypatch.setattr(guard, "solve_gb", spy)
+    monkeypatch.setattr(
+        hexpack, "_sum_layers", lambda *args: summed.append(args) or sum_layers(*args)
+    )
+    per_call = []
+    for _ in range(2):
+        sizes_at_entry.clear()
+        summed.clear()
+        code, _ = run(["sweep"], tmp_path)
+        assert code == 0
+        assert sizes_at_entry[0] == 0  # each call starts with no sums
+        per_call.append(len(summed))
+    # the preset sweep's 48 solves test 903 guard radii; 283 of them lie on
+    # the previous point's bisection path, so 620 are summed
+    assert per_call == [620, 620]
 
 
 def test_simulate_default_cue_axis_ends_at_small_cell_edge(tmp_path):

@@ -170,6 +170,56 @@ def test_solve_gb_boundary_tight(radio, cell):
     assert interference(g_b - 2e-3) > cap
 
 
+def _p_due_grid(start, stop, steps):
+    return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+
+
+# name -> (radio fields shared by the sweep, d_max_m, versus field, versus
+# values, p_due values in sweep order)
+GB_SWEEPS = {
+    "ascending": ({}, 150.0, "p_cue_max_mw", (140.0, 200.0), _p_due_grid(0.25, 6.0, 24)),
+    "descending": ({}, 150.0, "p_cue_max_mw", (140.0, 200.0), _p_due_grid(6.0, 0.25, 24)),
+    # g_d changes with each versus value
+    "versus_bitrate": ({}, 150.0, "bitrate_bps", (1e6, 2e6, 3e6), _p_due_grid(0.25, 6.0, 16)),
+    # g_d changes with each point; the weakest points are noise-limited
+    "per_hz": ({"noise_mode": "per-hz"}, 60.0, "p_cue_max_mw", (200.0,), _p_due_grid(0.01, 6.0, 24)),
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(GB_SWEEPS))
+def test_solve_gb_with_shared_sums_equals_fresh_solves(sweep, monkeypatch):
+    fields, d_max, versus, versus_values, p_due_grid = GB_SWEEPS[sweep]
+    cell = CellConfig(d_max_m=d_max)
+    calls = []
+    ring_sum = hexpack.ring_sum
+    monkeypatch.setattr(
+        hexpack, "ring_sum", lambda *args: calls.append(args) or ring_sum(*args)
+    )
+    sums = {}
+    shared_calls = fresh_calls = solved = 0
+    for value in versus_values:
+        for p_due in p_due_grid:
+            radio = RadioConfig(**{"noise_mode": "zero", **fields, versus: value, "p_due_mw": p_due})
+            try:
+                g_d, _ = solve_gd(radio, cell)
+            except NoiseLimited:
+                continue
+            solved += 1
+            calls.clear()
+            shared = solve_gb(radio, cell, g_d, sums)
+            shared_calls += len(calls)
+            assert sums and all(key[0] == g_d for key in sums)
+            calls.clear()
+            fresh = solve_gb(radio, cell, g_d)
+            fresh_calls += len(calls)
+            assert shared == fresh, (value, p_due)
+    assert solved >= len(p_due_grid) // 2
+    if sweep == "per_hz":
+        assert shared_calls == fresh_calls  # no two points share a g_d
+    else:
+        assert shared_calls < fresh_calls
+
+
 def test_gb_monotone_on_coarse_grid(cell):
     p_due_grid = np.linspace(0.3, 4.0, 6)
     p_cue_grid = np.linspace(120.0, 220.0, 6)

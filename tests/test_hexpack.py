@@ -14,8 +14,10 @@ from d2dcap.hexpack import (
     first_layer_neighbors,
     hex_radii,
     packed_layout,
+    ring_sum,
 )
-from d2dcap.propagation import PathLossModel
+from d2dcap.guard import solve_gd
+from d2dcap.propagation import CellConfig, PathLossModel, RadioConfig
 
 SQRT3 = math.sqrt(3.0)
 
@@ -40,6 +42,21 @@ def enumerate_interference(layout, p_due, pl, r_e_min):
             pos = kappa_i * u + (2.0 * (kk - 1) * r_e_min) * w_incl
             total += p_due * pl.beta / np.hypot(*pos) ** pl.exponent
     return 3.0 * total
+
+
+def one_by_one_interference(layout, p_due, pl):
+    """Bit-exact oracle: each disk's term computed on its own, added in the
+    order excluding side, including side, one layer at a time."""
+    step = 2.0 * layout.r_e
+    total = 0.0
+    for kappa_i, (n_excl, n_incl) in zip(layout.kappa, layout.per_layer):
+        layer = 0.0
+        for m in [*range(1, n_excl + 1), *range(n_incl)]:
+            offset = step * m
+            d2 = kappa_i**2 + offset * offset - kappa_i * offset
+            layer += pl.beta / math.sqrt(d2) ** pl.exponent
+        total += layer
+    return 3.0 * p_due * total
 
 
 def test_hex_radii_full_disk_limit():
@@ -155,6 +172,41 @@ def test_bs_interference_matches_coordinate_oracle():
         got = bs_interference(layout, p_due, pl)
         want = enumerate_interference(layout, p_due, pl, r_e_min)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+# (radio overrides, d_max_m): the preset and the three analytic recipes of
+# the benchmark (d_max 30 m; d_max 120 m; a weak DUE against a strong CUE,
+# which puts K above Kth2)
+RING_CASES = {
+    "preset": ({}, 150.0),
+    "d_max_30": ({"p_due_mw": 0.1}, 30.0),
+    "d_max_120": ({"p_due_mw": 1.0}, 120.0),
+    "k_above_kth2": ({"p_due_mw": 0.003, "p_cue_max_mw": 380.0}, 145.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RING_CASES))
+def test_ring_sum_is_bs_interference_bit_for_bit(case):
+    overrides, d_max = RING_CASES[case]
+    radio = RadioConfig(noise_mode="zero", **overrides)
+    cell = CellConfig(d_max_m=d_max)
+    g_d, _ = solve_gd(radio, cell)
+    lo = g_d / 2.0
+    grid = [lo + (cell.r_cell_m - lo) * i / 600 for i in range(601)]
+    layer_counts = set()
+    for g_b in grid:
+        layout = packed_layout(g_d, g_b, cell)
+        layer_counts.add(len(layout.kappa))
+        for p_due in (radio.p_due_mw, 0.37):
+            want = one_by_one_interference(layout, p_due, radio.pl_bs)
+            assert bs_interference(layout, p_due, radio.pl_bs) == want
+            assert 3.0 * p_due * ring_sum(g_d, g_b, cell, radio.pl_bs) == want
+    assert len(layer_counts) >= 4  # the grid crosses several layer-count changes
+
+
+def test_ring_sum_refuses_more_than_max_layers():
+    with pytest.raises(LayoutTooLarge, match="cell.r_cell_m"):
+        ring_sum(0.0, 0.0, CellConfig(r_cell_m=1e4, d_min_m=2.0), PathLossModel(3.76, -15.3))
 
 
 def test_first_layer_neighbors_kissing_number():
