@@ -39,18 +39,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cannot_write(path: str | None, exc: OSError) -> ScenarioError:
-    return ScenarioError(f"output.path: cannot write {path or 'stdout'}: {exc}")
-
-
 def _open_out(path: str | None):
     """The artifact's destination, opened before any work as a shell redirect is."""
     if not path:
         return contextlib.nullcontext(sys.stdout)
-    try:
-        return open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise _cannot_write(path, exc) from exc
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _emit(scenario: Scenario, rows: list[dict], fh) -> None:
@@ -71,11 +64,8 @@ def _emit(scenario: Scenario, rows: list[dict], fh) -> None:
         lines.append(",".join(rows[0]))
         lines.extend(",".join(map(_fmt, row.values())) for row in rows)
         text = "\n".join(lines) + "\n"
-    try:
-        fh.write(text)
-        fh.flush()
-    except OSError as exc:
-        raise _cannot_write(scenario.out, exc) from exc
+    fh.write(text)
+    fh.flush()
 
 
 def cmd_guard(scenario: Scenario) -> list[dict]:
@@ -123,7 +113,7 @@ def cmd_sweep(scenario: Scenario) -> list[dict]:
             )
             g_d = g_b = t_upper = math.nan
             try:
-                g_d, _ = guard.solve_gd(radio, cell)
+                g_d = guard.solve_gd(radio, cell)[0]
                 g_b = guard.solve_gb(radio, cell, g_d, sums)
                 t_upper = bounds.packing_upper_bound(
                     hexpack.packed_layout(g_d, g_b, cell).n_total, radio.bitrate_bps
@@ -226,8 +216,13 @@ def main(argv: list[str] | None = None) -> int:
         scenario = load_scenario(
             args.config, seed=args.seed, trials=args.trials, out=args.out, fmt=args.format
         )
-        with _open_out(scenario.out) as fh:
-            _emit(scenario, _COMMANDS[args.command](scenario), fh)
+        try:
+            with _open_out(scenario.out) as fh:
+                _emit(scenario, _COMMANDS[args.command](scenario), fh)
+        except OSError as exc:  # opening, writing, flushing or closing the artifact
+            raise ScenarioError(
+                f"output.path: cannot write {scenario.out or 'stdout'}: {exc}"
+            ) from exc
     except (ScenarioError, hexpack.LayoutTooLarge) as exc:
         print(f"d2dcap: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -54,7 +54,8 @@ class Infeasible(RuntimeError):
 
 @dataclass(frozen=True)
 class GuardDistances:
-    """Solved guard radii plus the derived disk and ring dimensions (m)."""
+    """Solved guard radii, the derived disk and ring dimensions (m), and the
+    first-ring count n_s and `solve_gd` alternations at the g_d fixed point."""
 
     g_d: float
     k: float
@@ -64,11 +65,7 @@ class GuardDistances:
     r_e_max: float
     r_in: float
     r_out: float
-
-
-def _rate_sir(cfg: RadioConfig) -> float:
-    """Linear SIR the configured bit rate requires in the configured bandwidth."""
-    return shannon_sir_threshold(cfg.bitrate_bps, cfg.bandwidth_hz)
+    gd_iterations: int
 
 
 def pair_guard_for_neighbors(cfg: RadioConfig, cell: CellConfig, n_s: int) -> float:
@@ -86,7 +83,7 @@ def pair_guard_for_neighbors(cfg: RadioConfig, cell: CellConfig, n_s: int) -> fl
     """
     if n_s < 0:
         raise ValueError("neighbour count must be non-negative")
-    gamma = _rate_sir(cfg)
+    gamma = shannon_sir_threshold(cfg.bitrate_bps, cfg.bandwidth_hz)
     alpha = cfg.pl_due.exponent
     beta = cfg.pl_due.beta
     try:
@@ -107,23 +104,20 @@ def pair_guard_for_neighbors(cfg: RadioConfig, cell: CellConfig, n_s: int) -> fl
         ) from None
 
 
-def solve_gd(cfg: RadioConfig, cell: CellConfig) -> tuple[float, int]:
+def solve_gd(cfg: RadioConfig, cell: CellConfig) -> tuple[float, int, int]:
     """Fixed point of the coupled pair-guard / neighbour-count system.
 
     Starting from n_s = 6 (the equal-disk kissing number), alternate the
     closed-form guard distance for n_s with the neighbour count implied by
     that distance until n_s repeats.  A cycle through previously seen
     counts is resolved conservatively by taking its largest member (larger
-    n_s means a longer guard distance).  Raises NonConvergent after
-    GD_MAX_ITER alternations, NoiseLimited if the rate is unreachable, and
-    Infeasible if a guard distance has no neighbour ring (an arc length
-    that is zero, undefined or NaN).
+    n_s means a longer guard distance).  Returns (g_d, n_s, iterations),
+    the last being the number of alternations made.  Raises NonConvergent
+    after GD_MAX_ITER alternations, NoiseLimited if the rate is
+    unreachable, and Infeasible if a guard distance has no neighbour ring
+    (an arc length that is zero, undefined or NaN).
     """
-    g_d, n_s, _ = _solve_gd_trace(cfg, cell)
-    return g_d, n_s
 
-
-def _solve_gd_trace(cfg: RadioConfig, cell: CellConfig) -> tuple[float, int, int]:
     def neighbors_for(g_d: float) -> int:
         try:
             return hexpack.first_layer_neighbors(g_d, *hexpack.disk_radii(g_d, cell))
@@ -229,8 +223,9 @@ def solve_gb(
     return b
 
 
-def _complete(cfg: RadioConfig, cell: CellConfig, g_d: float, n_s: int) -> GuardDistances:
-    """Solve g_b for a solved g_d and derive the disk and ring dimensions."""
+def guard_distances(cfg: RadioConfig, cell: CellConfig) -> GuardDistances:
+    """Solve all three guard radii and derive the disk/ring dimensions."""
+    g_d, n_s, iterations = solve_gd(cfg, cell)
     g_b = solve_gb(cfg, cell, g_d)
     r_e_min, r_e_max = hexpack.disk_radii(g_d, cell)
     return GuardDistances(
@@ -242,30 +237,18 @@ def _complete(cfg: RadioConfig, cell: CellConfig, g_d: float, n_s: int) -> Guard
         r_e_max=r_e_max,
         r_in=g_b - g_d / 2.0,
         r_out=cell.r_cell_m + g_d / 2.0,
+        gd_iterations=iterations,
     )
-
-
-def guard_distances(cfg: RadioConfig, cell: CellConfig) -> GuardDistances:
-    """Solve all three guard radii and derive the disk/ring dimensions."""
-    return _complete(cfg, cell, *solve_gd(cfg, cell))
 
 
 def guard_report(cfg: RadioConfig, cell: CellConfig) -> dict:
-    """Guard solution plus solver metadata, as one flat record.
+    """The guard_distances record plus the noise mode and SIR thresholds, flat.
 
-    The radii keep the GuardDistances field order; lengths get an `_m`
-    suffix.
+    The fields keep the GuardDistances order; lengths get an `_m` suffix.
     """
-    g_d, n_s, iterations = _solve_gd_trace(cfg, cell)
-    gd = _complete(cfg, cell, g_d, n_s)
     record = {
-        name if name in ("k", "n_s") else f"{name}_m": value
-        for name, value in asdict(gd).items()
+        name if name in ("k", "n_s", "gd_iterations") else f"{name}_m": value
+        for name, value in asdict(guard_distances(cfg, cell)).items()
     }
-    record.update(
-        gd_iterations=iterations,
-        noise_mode=cfg.noise_mode,
-        sir_due=cfg.sir_due,
-        sir_bs=cfg.sir_bs,
-    )
+    record.update(noise_mode=cfg.noise_mode, sir_due=cfg.sir_due, sir_bs=cfg.sir_bs)
     return record

@@ -336,7 +336,7 @@ def load_scenario(
         if user is None:
             user = {}
         if not isinstance(user, dict):
-            raise ScenarioError("config root must be a mapping")
+            raise ScenarioError(f"config file {path}: the root must be a mapping")
     flags = {k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None}
     data = _merge(copy.deepcopy(_preset()), user | flags)
 

@@ -32,7 +32,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> bool:
 
 def packed_throughput(radio: RadioConfig, cell: CellConfig) -> tuple[float, float, float]:
     """(t_upper, g_b, g_d) from the integer packing at the solved radii."""
-    g_d, _ = solve_gd(radio, cell)
+    g_d, _, _ = solve_gd(radio, cell)
     g_b = solve_gb(radio, cell, g_d)
     n_pairs = hexpack.packed_layout(g_d, g_b, cell).n_total
     return bounds.packing_upper_bound(n_pairs, radio.bitrate_bps), g_b, g_d

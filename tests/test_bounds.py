@@ -36,6 +36,7 @@ def synthetic_gd(g_d, k, g_b, cell):
         r_e_max=(g_d + cell.d_max_m) / 2.0,
         r_in=g_b - g_d / 2.0,
         r_out=cell.r_cell_m + g_d / 2.0,
+        gd_iterations=0,
     )
 
 

@@ -335,6 +335,11 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("sweep: [{name: d_cb, stop: x}]\n", "sweep[0].stop"),
         ("sweep: [{name: d_cb, bogus: 1}]\n", "sweep[0].bogus"),
         ("sweep: [3]\n", "sweep[0]"),
+        ("output: {format: xml}\n", "output.format"),
+        ("versus: {values: []}\n", "versus.values"),
+        ("sweep: [{name: foo}]\n", "sweep[0].name"),
+        ("sweep: [{name: d_cb, start: 0.0, stop: 600.0, steps: 3}]\n", "sweep[0]"),
+        ("sim: {d2d_dist: bogus}\n", "sim.d2d_dist"),
     ],
 )
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
@@ -344,6 +349,41 @@ def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):
     code = main([command, "--config", str(bad), "--trials", "1"])
     assert code == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["trials: 0\n", "trials: 2.5\n"])
+def test_bad_trials_in_config_file_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    # no --trials: the flag would replace the file's value
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["- 1\n- 2\n", "radio: {p_due_mw: [1\n", None],
+    ids=["list-root", "invalid-yaml", "missing-file"],
+)
+def test_config_file_error_exits_2_naming_the_file(tmp_path, capsys, text):
+    cfg = tmp_path / "scenario.yaml"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["guard", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("d2dcap: configuration error: ")
+    assert str(cfg) in err
+
+
+@pytest.mark.parametrize("command", ["guard", "bounds", "sweep"])
+def test_empty_config_file_is_the_preset(tmp_path, command):
+    empty = tmp_path / "empty.yaml"
+    empty.write_text("")
+    code, with_file = run([command, "--config", str(empty)], tmp_path, "with.csv")
+    assert code == 0
+    code, preset = run([command], tmp_path, "preset.csv")
+    assert code == 0
+    assert with_file.read_bytes() == preset.read_bytes()
 
 
 def test_ppp_density_bounded_by_expected_pairs(tmp_path):
@@ -389,6 +429,13 @@ def test_unwritable_out_fails_before_any_trial(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "output.path" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_that_fails_on_flush_and_close_exits_2(capsys):
+    # /dev/full opens, but every flush fails with ENOSPC, and so does the close
+    assert main(["guard", "--out", "/dev/full"]) == 2
+    assert "output.path: cannot write /dev/full" in capsys.readouterr().err
 
 
 def test_sweep_solver_failure_is_nan_row(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from d2dcap import hexpack
+from d2dcap.cli import main
 from d2dcap.guard import (
     Infeasible,
     NoiseLimited,
@@ -15,7 +16,13 @@ from d2dcap.guard import (
     solve_gb,
     solve_gd,
 )
-from d2dcap.propagation import CellConfig, RadioConfig, path_loss, shannon_sir_threshold
+from d2dcap.propagation import (
+    CellConfig,
+    PathLossModel,
+    RadioConfig,
+    path_loss,
+    shannon_sir_threshold,
+)
 
 # frozen fixed point at the default interference-limited parameter set
 GD_DEFAULT = 192.52536783902982
@@ -88,13 +95,13 @@ def test_noise_limited_default_parameters(cell):
 
 
 def test_solve_gd_fixed_point(radio, cell):
-    g_d, n_s = solve_gd(radio, cell)
+    g_d, n_s, _ = solve_gd(radio, cell)
     assert n_s == NS_DEFAULT
     assert g_d == pytest.approx(GD_DEFAULT, rel=1e-12)
 
 
 def test_solve_gd_agrees_with_grid_scan(radio, cell):
-    g_d, n_s = solve_gd(radio, cell)
+    g_d, n_s, _ = solve_gd(radio, cell)
     scan_g, scan_n = grid_scan_gd(radio, cell)
     assert len(scan_g) > 0
     idx = np.argmin(np.abs(scan_g - g_d))
@@ -135,26 +142,26 @@ def test_compute_gc():
 
 def test_solve_gb_lower_clamp_without_interference(radio, cell):
     quiet = RadioConfig(noise_mode="zero", p_due_mw=1e-9)
-    g_d, _ = solve_gd(quiet, cell)
+    g_d, _, _ = solve_gd(quiet, cell)
     assert solve_gb(quiet, cell, g_d) == pytest.approx(g_d / 2.0, rel=1e-12)
 
 
 def test_solve_gb_infeasible_for_huge_threshold(radio, cell):
     strict = RadioConfig(noise_mode="zero", sir_bs=1e12)
-    g_d, _ = solve_gd(strict, cell)
+    g_d, _, _ = solve_gd(strict, cell)
     with pytest.raises(Infeasible):
         solve_gb(strict, cell, g_d)
 
 
 def test_solve_gb_agrees_with_linear_scan(radio, cell):
-    g_d, _ = solve_gd(radio, cell)
+    g_d, _, _ = solve_gd(radio, cell)
     g_b = solve_gb(radio, cell, g_d)
     scan = linear_scan_gb(radio, cell, g_d)
     assert abs(g_b - scan) <= 0.02
 
 
 def test_solve_gb_boundary_tight(radio, cell):
-    g_d, _ = solve_gd(radio, cell)
+    g_d, _, _ = solve_gd(radio, cell)
     g_b = solve_gb(radio, cell, g_d)
     assert g_b > g_d / 2.0  # interior solution at these parameters
     r_e_min = (g_d + cell.d_min_m) / 2.0
@@ -201,7 +208,7 @@ def test_solve_gb_with_shared_sums_equals_fresh_solves(sweep, monkeypatch):
         for p_due in p_due_grid:
             radio = RadioConfig(**{"noise_mode": "zero", **fields, versus: value, "p_due_mw": p_due})
             try:
-                g_d, _ = solve_gd(radio, cell)
+                g_d, _, _ = solve_gd(radio, cell)
             except NoiseLimited:
                 continue
             solved += 1
@@ -227,7 +234,7 @@ def test_gb_monotone_on_coarse_grid(cell):
     for p_cue in p_cue_grid:
         for p_due in p_due_grid:
             radio = RadioConfig(noise_mode="zero", p_due_mw=p_due, p_cue_max_mw=p_cue)
-            g_d, _ = solve_gd(radio, cell)
+            g_d, _, _ = solve_gd(radio, cell)
             table[(p_cue, p_due)] = solve_gb(radio, cell, g_d)
     for p_cue in p_cue_grid:
         row = [table[(p_cue, p)] for p in p_due_grid]
@@ -241,7 +248,7 @@ def test_gd_monotone_in_bitrate(cell):
     g_values = []
     for rb in (1e6, 2e6, 3e6):
         radio = RadioConfig(noise_mode="zero", bitrate_bps=rb)
-        g_d, _ = solve_gd(radio, cell)
+        g_d, _, _ = solve_gd(radio, cell)
         g_values.append(g_d)
     assert g_values[0] < g_values[1] < g_values[2]
 
@@ -263,3 +270,43 @@ def test_guard_report_metadata(radio, cell):
     assert report["sir_due"] == radio.sir_due
     assert report["gd_iterations"] >= 1
     assert report["g_b_m"] == pytest.approx(guard_distances(radio, cell).g_b, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bitrate, exponent, d_min, d_max, counts, n_s, iterations",
+    [
+        (1.0e6, 2.5, 1.75, 210.0, [9, 8, 9], 9, 3),  # 6 -> 9 -> 8 -> 9
+        (1.6e7, 5.0, 23.6, 84.0, [7, 6], 7, 2),  # 6 -> 7 -> 6
+    ],
+)
+def test_solve_gd_resolves_a_cycle_to_its_largest_count(
+    tmp_path, monkeypatch, bitrate, exponent, d_min, d_max, counts, n_s, iterations
+):
+    radio = RadioConfig(
+        noise_mode="zero",
+        bitrate_bps=bitrate,
+        pl_due=PathLossModel(exponent=exponent, intercept_db=-38.0),
+    )
+    cell = CellConfig(r_cell_m=500.0, d_min_m=d_min, d_max_m=d_max)
+    seen = []
+    real = hexpack.first_layer_neighbors
+    monkeypatch.setattr(
+        hexpack, "first_layer_neighbors", lambda *a: seen.append(real(*a)) or seen[-1]
+    )
+    g_d, got_n_s, got_iterations = solve_gd(radio, cell)
+    assert seen == counts  # the last count was seen before: a cycle, not a fixed point
+    assert (got_n_s, got_iterations) == (n_s, iterations)
+    assert g_d == pair_guard_for_neighbors(radio, cell, n_s)
+
+    cfg = tmp_path / "cycle.yaml"
+    cfg.write_text(
+        f"radio: {{noise_mode: zero, bitrate_bps: {bitrate!r}, "
+        f"pl_due: {{exponent: {exponent!r}, intercept_db: -38.0}}}}\n"
+        f"cell: {{r_cell_m: 500.0, d_min_m: {d_min!r}, d_max_m: {d_max!r}}}\n"
+    )
+    out = tmp_path / "guard.csv"
+    assert main(["guard", "--config", str(cfg), "--out", str(out)]) == 0
+    header, values = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    record = dict(zip(header.split(","), values.split(",")))
+    assert int(record["n_s"]) == n_s
+    assert int(record["gd_iterations"]) == iterations

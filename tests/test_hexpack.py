@@ -190,7 +190,7 @@ def test_ring_sum_is_bs_interference_bit_for_bit(case):
     overrides, d_max = RING_CASES[case]
     radio = RadioConfig(noise_mode="zero", **overrides)
     cell = CellConfig(d_max_m=d_max)
-    g_d, _ = solve_gd(radio, cell)
+    g_d, _, _ = solve_gd(radio, cell)
     lo = g_d / 2.0
     grid = [lo + (cell.r_cell_m - lo) * i / 600 for i in range(601)]
     layer_counts = set()

@@ -242,6 +242,7 @@ def test_saturation_trial_memory_bounded_in_large_cell(radio):
         r_e_max=55.0,
         r_in=-50.0,
         r_out=1e5 + 50.0,
+        gd_iterations=0,
     )
     cfg = TrialConfig(d_cb=5e4, seed=5)
     run_saturation_trial(cfg, radio, cell, gd, trial_index=1)
@@ -268,6 +269,7 @@ def test_measure_zero_room_ends_at_refinement_floor(radio, cell):
         r_e_max=171.25,
         r_in=253.75,
         r_out=596.25,
+        gd_iterations=0,
     )
     cfg = TrialConfig(d2d_dist="fixed", d_fixed=150.0, seed=3)
     res = run_saturation_trial(cfg, radio, cell, gd)
@@ -335,6 +337,7 @@ def test_covering_cue_disk_blocks_everything(radio, cell):
         r_e_max=171.25,
         r_in=1.15,
         r_out=596.25,
+        gd_iterations=0,
     )
     cfg = TrialConfig(d_cb=400.0, seed=2)
     res = run_saturation_trial(cfg, radio, cell, gd)
@@ -462,7 +465,8 @@ def test_fixed_links_jam_at_rsa_coverage(radio):
     # room for what is left of the boundary layer and the window's edge.
     cell = CellConfig(r_cell_m=30.1, d_min_m=0.1, d_max_m=0.2)
     gd = GuardDistances(
-        g_d=1.8, k=0.0, g_b=0.0, n_s=6, r_e_min=0.95, r_e_max=1.0, r_in=-0.9, r_out=31.0
+        g_d=1.8, k=0.0, g_b=0.0, n_s=6, r_e_min=0.95, r_e_max=1.0, r_in=-0.9, r_out=31.0,
+        gd_iterations=0,
     )
     cfg = TrialConfig(d2d_dist="fixed", d_fixed=0.2, d_cb=0.0, seed=1986)
     window = 20.0
