@@ -13,6 +13,8 @@ import argparse
 import contextlib
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import replace
 
@@ -40,10 +42,11 @@ def _fmt(value) -> str:
 
 
 def _open_out(path: str | None):
-    """The artifact's destination, opened before any work as a shell redirect is."""
+    """The artifact's destination, opened before any work as a shell redirect
+    is, but to append: a failed run leaves a previous artifact as it was."""
     if not path:
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    return open(path, "a", encoding="utf-8", newline="\n")
 
 
 def _emit(scenario: Scenario, rows: list[dict], fh) -> None:
@@ -156,10 +159,8 @@ def cmd_simulate(scenario: Scenario) -> list[dict]:
     rows = []
     for point, cfg in enumerate(grid):
         stats = mcsim.aggregate(
-            [
-                mcsim.run_trial(cfg, scenario.radio, scenario.cell, gd, trial_index=point * n + t)
-                for t in range(n)
-            ]
+            mcsim.run_trial(cfg, scenario.radio, scenario.cell, gd, trial_index=point * n + t)
+            for t in range(n)
         )
         area = bounds.deployable_area(cfg.d_cb, gd, scenario.cell)
         tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
@@ -218,7 +219,11 @@ def main(argv: list[str] | None = None) -> int:
         )
         try:
             with _open_out(scenario.out) as fh:
-                _emit(scenario, _COMMANDS[args.command](scenario), fh)
+                rows = _COMMANDS[args.command](scenario)
+                st = os.fstat(fh.fileno()) if scenario.out else None
+                if st and stat.S_ISREG(st.st_mode) and st.st_size:
+                    fh.truncate(0)  # a device or FIFO cannot be emptied
+                _emit(scenario, rows, fh)
         except OSError as exc:  # opening, writing, flushing or closing the artifact
             raise ScenarioError(
                 f"output.path: cannot write {scenario.out or 'stdout'}: {exc}"

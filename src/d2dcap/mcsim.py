@@ -14,10 +14,11 @@ Two deployment modes validate the analytical bounds:
 Both samplers admit through one kernel, `_Arena.admit`: every accepted
 pair respects the hard-core rules (inside the cell, clear of the BS guard
 disk and of the CUE cut-out) and disjoint exclusion disks.  A trial keeps
-its pairs only as the arena's columns, and `evaluate_sir` reads those
-columns to audit the guard-distance design after the fact, with optional
-transmitter/receiver role rotation.  The scalar form of the placement
-rules is the brute-force oracle in tests/test_mcsim.py.
+its pairs only as the arena's columns, and one `evaluate_sir` call reads
+those columns to audit the guard-distance design after the fact, with the
+roles as placed and with every pair's transmitter and receiver swapped.
+The scalar form of the placement rules is the brute-force oracle in
+tests/test_mcsim.py.
 
 Trials are pure functions of (config, trial index); each derives its own
 random stream (for saturation, blocks of _BLOCK candidates drawn from the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -189,13 +190,13 @@ def _finish(
     def meets(min_sir: float, bs_sir: float) -> bool:
         return min_sir >= radio.sir_due and bs_sir >= radio.sir_bs
 
-    min_sir, bs_sir = evaluate_sir(pairs, radio, cell, cfg.d_cb, rotate=False)
+    (min_sir, bs_sir), swapped = evaluate_sir(pairs, radio, cell, cfg.d_cb)
     return TrialResult(
         n_pairs=n,
         throughput_bps=n * radio.bitrate_bps,
         min_due_sir=min_sir,
         bs_sir=bs_sir,
-        rotation_ok=meets(*evaluate_sir(pairs, radio, cell, cfg.d_cb, rotate=True)),
+        rotation_ok=meets(*swapped),
         sir_ok=meets(min_sir, bs_sir),
     )
 
@@ -429,73 +430,84 @@ def run_trial(
 
 
 def evaluate_sir(
-    pairs: np.ndarray,
-    radio: RadioConfig,
-    cell: CellConfig,
-    d_cb: float,
-    rotate: bool = False,
-) -> tuple[float, float]:
-    """Worst receiver SIR across pairs, and the uplink SIR at the BS.
+    pairs: np.ndarray, radio: RadioConfig, cell: CellConfig, d_cb: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Both SIR audits of a trial: ((min_due_sir, bs_sir), the same with
+    every pair's transmitter and receiver swapped).
 
     `pairs` is a (4, n) array, one column per pair: centre x, centre y,
     link length d_d2d and heading a.  A pair's transmitter sits at
     c + d_d2d/2 (cos a, sin a) and its receiver at c - d_d2d/2 (cos a,
-    sin a); rotate=True swaps every pair's transmitter and receiver.
-    Each receiver's desired power is p_due * L_D(d_d2d); interference sums
-    the other pairs' transmitters through the device-link model plus the
+    sin a).  min_due_sir is the worst receiver SIR: each receiver's
+    desired power is p_due * L_D(d_d2d); interference sums the other
+    pairs' transmitters through the device-link model plus the
     power-controlled CUE at (d_cb, 0) (absent at d_cb = 0, where power
-    control drives its transmit power to zero).  The BS receives the
-    controlled uplink power against the sum of all D2D transmitters seen
+    control drives its transmit power to zero).  bs_sir is the controlled
+    uplink power at the BS against the sum of all D2D transmitters seen
     through the BS-link model.  Interference-free receivers report SIR_CAP.
+    The receiver x transmitter gains are built a block of rows at a time,
+    at most _SPAN elements each, and every row is summed on its own.
     """
     cx, cy, d_link, angle = pairs
-    if not len(cx):
+    n = len(cx)
+    if not n:
         raise ValueError("evaluate_sir requires at least one pair")
-    hx = 0.5 * d_link * np.cos(angle)
-    hy = 0.5 * d_link * np.sin(angle)
-    tx_x, tx_y, rx_x, rx_y = cx + hx, cy + hy, cx - hx, cy - hy
-    if rotate:
-        tx_x, tx_y, rx_x, rx_y = rx_x, rx_y, tx_x, tx_y
-
+    hx, hy = 0.5 * d_link * np.cos(angle), 0.5 * d_link * np.sin(angle)
+    ends = (cx + hx, cy + hy), (cx - hx, cy - hy)
     desired = radio.p_due_mw * path_loss(radio.pl_due, d_link)
-    cross = np.hypot(rx_x[:, None] - tx_x[None, :], rx_y[:, None] - tx_y[None, :])
-    gains = radio.p_due_mw * radio.pl_due.gain(np.where(cross > 0.0, cross, 1.0))
-    np.fill_diagonal(gains, 0.0)
-    interference = gains.sum(axis=1)
-    if d_cb > 0.0:
-        p_cue = cue_tx_power(radio, cell, d_cb)
-        d_cue = np.hypot(rx_x - d_cb, rx_y)
-        interference = interference + p_cue * path_loss(radio.pl_due, d_cue)
-    with np.errstate(divide="ignore"):
-        sir = np.where(interference > 0.0, desired / interference, SIR_CAP)
-    min_due_sir = float(np.minimum(sir, SIR_CAP).min())
-
+    p_cue = cue_tx_power(radio, cell, d_cb) if d_cb > 0.0 else 0.0
     p_r_cb = cue_rx_power(radio, cell)
-    bs_interf = float(np.sum(radio.p_due_mw * path_loss(radio.pl_bs, np.hypot(tx_x, tx_y))))
-    bs_sir = p_r_cb / bs_interf if bs_interf > 0.0 else SIR_CAP
-    return min_due_sir, min(bs_sir, SIR_CAP)
+    step = max(_SPAN // n, 1)
+    audits = []
+    for (tx_x, tx_y), (rx_x, rx_y) in (ends, ends[::-1]):
+        interference = np.empty(n)
+        for i in range(0, n, step):
+            cross = np.hypot(rx_x[i : i + step, None] - tx_x, rx_y[i : i + step, None] - tx_y)
+            gains = radio.p_due_mw * radio.pl_due.gain(np.where(cross > 0.0, cross, 1.0))
+            np.fill_diagonal(gains[:, i:], 0.0)
+            interference[i : i + step] = gains.sum(axis=1)
+        if d_cb > 0.0:
+            interference += p_cue * path_loss(radio.pl_due, np.hypot(rx_x - d_cb, rx_y))
+        with np.errstate(divide="ignore"):
+            sir = np.where(interference > 0.0, desired / interference, SIR_CAP)
+        bs_interf = float(np.sum(radio.p_due_mw * path_loss(radio.pl_bs, np.hypot(tx_x, tx_y))))
+        bs_sir = p_r_cb / bs_interf if bs_interf > 0.0 else SIR_CAP
+        audits.append((float(np.minimum(sir, SIR_CAP).min()), min(bs_sir, SIR_CAP)))
+    return tuple(audits)
 
 
-def aggregate(results: Sequence[TrialResult]) -> dict[str, MetricStats]:
+def aggregate(results: Iterable[TrialResult]) -> dict[str, MetricStats]:
     """Mean, standard error and 95% interval for each TrialResult metric.
 
-    Single-trial batches get a degenerate interval (stderr 0).  Boolean
-    verdicts are aggregated as success rates.
+    One pass over any iterable: per field only the exact sums of the values
+    and of their squares are kept, as integers scaled by 2**e and 4**e for
+    the largest binary exponent e seen (float.as_integer_ratio), so memory
+    stays constant and each statistic is rounded once.  Single-trial
+    batches get a degenerate interval (stderr 0); a non-finite value gives
+    a non-finite mean and a NaN stderr, as numpy would.  Boolean verdicts
+    are aggregated as success rates.
     """
-    if not results:
+    names = [f.name for f in fields(TrialResult)]
+    acc = {name: [0, 0, 0, 0.0] for name in names}  # e, sum, sum of squares, non-finite sum
+    n = 0
+    for n, r in enumerate(results, 1):
+        for name in names:
+            a, v = acc[name], float(getattr(r, name))
+            if not math.isfinite(v):
+                a[3] += v
+                continue
+            p, q = v.as_integer_ratio()
+            e = q.bit_length() - 1
+            if e > a[0]:
+                a[:3] = e, a[1] << e - a[0], a[2] << 2 * (e - a[0])
+            p <<= a[0] - e
+            a[1:3] = a[1] + p, a[2] + p * p
+    if not n:
         raise ValueError("aggregate requires at least one trial result")
-    metrics = {
-        f.name: np.array([getattr(r, f.name) for r in results], dtype=float)
-        for f in fields(TrialResult)
-    }
     out: dict[str, MetricStats] = {}
-    for name, values in metrics.items():
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-        out[name] = MetricStats(
-            mean=mean,
-            stderr=stderr,
-            ci_low=mean - 1.96 * stderr,
-            ci_high=mean + 1.96 * stderr,
-        )
+    for name, (e, s, sq, bad) in acc.items():
+        mean = bad or s / (n << e)
+        var = (n * sq - s * s) / (n * n * (n - 1) << 2 * e) if n > 1 and not bad else 0.0
+        stderr = math.nan if bad and n > 1 else math.sqrt(var)
+        out[name] = MetricStats(mean, stderr, mean - 1.96 * stderr, mean + 1.96 * stderr)
     return out

@@ -113,11 +113,11 @@ _AXIS_NAMES = ("d_cb", "p_due")
 MAX_SWEEP_STEPS = 100_000
 #: versus.name -> the RadioConfig field it sets
 _VERSUS_FIELDS = {"p_cue_max": "p_cue_max_mw", "bitrate": "bitrate_bps"}
-#: Largest expected count of feasible node pairs a PPP trial may face.
-#: Pairing lists them one distance shell at a time, so its memory grows
-#: with each shell's near pairs (2.6 MiB traced at 1e-2 nodes/m^2 in the
-#: preset cell, 2.5M feasible pairs), not with this count.
-PPP_MAX_PAIRS = 1e7
+#: Largest expected count of node pairs within the first pairing shell's
+#: reach (see `TrialConfig.check_cell`), which is what PPP pairing lists at
+#: once.  At this count, pairing one node draw in the preset cell peaks at
+#: 34, 80 and 110 MiB traced (tracemalloc) for d_min 140, 50 and 2 m.
+PPP_MAX_PAIRS = 1e6
 
 
 @dataclass(frozen=True)
@@ -161,20 +161,24 @@ class TrialConfig:
 
     def check_cell(self, cell: CellConfig) -> None:
         """The cell-dependent rules: a fixed link length lies in [d_min, d_max],
-        and a PPP density expects at most PPP_MAX_PAIRS feasible node pairs,
-        0.5 * N^2 * (d_max^2 - d_min^2) / r_cell^2 for N = density * pi r_cell^2.
+        and a PPP density expects at most PPP_MAX_PAIRS node pairs within h,
+        0.5 * N * density * pi * h^2 for N = density * pi r_cell^2 nodes.  h
+        is the reach of pairing's first shell, max(2 d_min, 1/sqrt(density)),
+        or d_max once twice that passes d_max (`mcsim._match_in_shells`).
         """
         if self.d_fixed is not None and not cell.d_min_m <= self.d_fixed <= cell.d_max_m:
             raise ValueError(
                 f"sim.d_fixed must lie in [{cell.d_min_m}, {cell.d_max_m}], got {self.d_fixed}"
             )
         if self.mode == "ppp":
+            h = max(2.0 * cell.d_min_m, 1 / math.sqrt(self.density))
+            h = h if 2.0 * h <= cell.d_max_m else cell.d_max_m
             x = self.density * math.pi * cell.r_cell_m
-            pairs = 0.5 * x * x * (cell.d_max_m * cell.d_max_m - cell.d_min_m * cell.d_min_m)
+            pairs = 0.5 * x * x * h * h
             if not pairs <= PPP_MAX_PAIRS:
                 raise ValueError(
-                    f"sim.densities: {self.density} nodes/m^2 expects {pairs:.3g} feasible "
-                    f"node pairs in this cell, more than {PPP_MAX_PAIRS:.0e}"
+                    f"sim.densities: {self.density} nodes/m^2 expects {pairs:.3g} node pairs "
+                    f"within {h:.6g} m in this cell, more than {PPP_MAX_PAIRS:.0e}"
                 )
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -436,6 +437,71 @@ def test_out_that_fails_on_flush_and_close_exits_2(capsys):
     # /dev/full opens, but every flush fails with ENOSPC, and so does the close
     assert main(["guard", "--out", "/dev/full"]) == 2
     assert "output.path: cannot write /dev/full" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("radio: {noise_mode: per-hz, bitrate_bps: 2.0e+7}\n", 3),
+        ("radio: {noise_mode: zero}\ncell: {r_cell_m: 1.0e+5, d_min_m: 1.0, d_max_m: 2.0}\n", 2),
+    ],
+    ids=["noise-limited", "layout-too-large"],
+)
+def test_failed_run_keeps_the_previous_out_file(tmp_path, capsys, text, code):
+    cfg = tmp_path / "failing.yaml"
+    cfg.write_text(text)
+    prev = tmp_path / "prev.csv"
+    prev.write_text("previous artifact\n")
+    assert main(["guard", "--config", str(cfg), "--out", str(prev)]) == code
+    assert prev.read_text() == "previous artifact\n"
+    assert capsys.readouterr().err
+
+
+def test_successful_run_replaces_the_previous_out_file(tmp_path):
+    prev = tmp_path / "prev.csv"
+    prev.write_text("previous artifact\n" * 1000)
+    assert main(["guard", "--out", str(prev)]) == 0
+    code, fresh = run(["guard"], tmp_path, "fresh.csv")
+    assert code == 0
+    assert prev.read_bytes() == fresh.read_bytes()
+
+
+def test_simulate_memory_does_not_grow_with_trials(tmp_path, monkeypatch):
+    # a stub trial, a new result each call, keeps 100,000 trials to seconds;
+    # the 10-trial run first fills the one-off caches of a process
+    def stub(cfg, radio, cell, gd, trial_index):
+        k = trial_index % 7
+        return mcsim.TrialResult(k, 2.0e6 * k, 1.0 + 0.1 * k, 3.0 / (k + 1), k < 4, k % 2 == 0)
+
+    monkeypatch.setattr(mcsim, "run_trial", stub)
+    cfg = tmp_path / "one_point.yaml"
+    cfg.write_text("sweep: [{name: d_cb, start: 100.0, stop: 100.0, steps: 1}]\n")
+    peaks = []
+    for trials in ("10", "1000", "100000"):
+        tracemalloc.start()
+        try:
+            code, _ = run(["simulate", "--config", str(cfg), "--trials", trials], tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[2] <= peaks[1] + 64 * 1024
+
+
+def test_ppp_density_cap_counts_the_first_pairing_shell(tmp_path, capsys):
+    # the preset cell at 2e-2 nodes/m^2 lists about 2.5e4 node pairs within
+    # 7 m and runs; a 140 m d_min lists every pair within d_max = 150 m
+    cfg = tmp_path / "dense.yaml"
+    cfg.write_text(
+        "sim: {mode: ppp, densities: [2.0e-2]}\n"
+        "sweep: [{name: d_cb, start: 100.0, stop: 100.0, steps: 1}]\n"
+    )
+    code, out = run(["simulate", "--config", str(cfg), "--trials", "1"], tmp_path)
+    assert code == 0
+    assert float(out.read_text().splitlines()[-1].split(",")[3]) > 0.0
+    cfg.write_text("cell: {d_min_m: 140.0}\nsim: {mode: ppp, densities: [1.0e-2]}\n")
+    assert main(["simulate", "--config", str(cfg), "--trials", "1"]) == 2
+    assert "sim.densities" in capsys.readouterr().err
 
 
 def test_sweep_solver_failure_is_nan_row(tmp_path):

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from d2dcap import hexpack
+from d2dcap import hexpack, mcsim
 from d2dcap.guard import GuardDistances
 from d2dcap.mcsim import (
     SIR_CAP,
     TrialConfig,
+    TrialResult,
     _Arena,
     _feasible_pairs,
     _greedy_matching,
@@ -21,6 +22,7 @@ from d2dcap.mcsim import (
     run_saturation_trial,
 )
 from d2dcap.propagation import CellConfig, RadioConfig, cue_tx_power, path_loss
+from d2dcap.scenario import format_float
 
 
 def brute_force_admissible(candidate, accepted, gd, cell, d_cb):
@@ -380,8 +382,8 @@ def test_trials_pass_posthoc_audit(radio, cell, gd, seed, d_fixed):
             assert cell.d_min_m <= p[2] <= cell.d_max_m
             assert d_fixed is None or p[2] == d_fixed
         if pairs:
-            got = evaluate_sir(arena_columns(arena), radio, cell, d_cb)
-            assert got == (res.min_due_sir, res.bs_sir)
+            nominal, _ = evaluate_sir(arena_columns(arena), radio, cell, d_cb)
+            assert nominal == (res.min_due_sir, res.bs_sir)
     assert min(counts[:2]) > 0
 
 
@@ -489,7 +491,7 @@ def test_ppp_trials_pass_posthoc_audit(radio, cell, gd, density):
         assert res.n_pairs > 0
         rows = _replay_ppp_pairs(cfg, cell, gd)
         assert len(rows) == res.n_pairs
-        assert evaluate_sir(np.array(rows).T, radio, cell, d_cb) == pytest.approx(
+        assert evaluate_sir(np.array(rows).T, radio, cell, d_cb)[0] == pytest.approx(
             (res.min_due_sir, res.bs_sir), rel=1e-9
         )
         pairs = [row[:3] for row in rows]
@@ -518,26 +520,85 @@ def _replay_ppp_pairs(cfg, cell, gd, trial_index=0):
     return rows
 
 
-@pytest.mark.parametrize("rotate", [False, True], ids=["nominal", "rotated"])
-@pytest.mark.parametrize("d_cb", [0.0, 250.0])
-def test_evaluate_sir_matches_scalar_oracle(radio, cell, gd, d_cb, rotate):
-    # real accepted sets, many pairs each: two saturation arenas and two
-    # replayed PPP trials
+def _sir_sets(cell, gd, d_cb):
+    """Real accepted sets, many pairs each: two saturation arenas and two
+    replayed PPP trials, as (4, n) columns."""
     cfg = TrialConfig(d_cb=d_cb, seed=41)
     sets = [arena_columns(_saturate(cfg, cell, gd, t)[0]) for t in (0, 1)]
     for density in (1e-4, 1e-3):
         cfg = TrialConfig(mode="ppp", density=density, d_cb=d_cb, seed=42)
         sets.append(np.array(_replay_ppp_pairs(cfg, cell, gd)).T)
-    for columns in sets:
+    return sets
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["nominal", "rotated"])
+@pytest.mark.parametrize("d_cb", [0.0, 250.0])
+def test_evaluate_sir_matches_scalar_oracle(radio, cell, gd, d_cb, rotate):
+    # evaluate_sir returns the nominal audit first and the swapped one second
+    for columns in _sir_sets(cell, gd, d_cb):
         assert columns.shape[1] >= 3
         want = sir_oracle(columns.T.tolist(), radio, cell, d_cb, rotate)
-        got = evaluate_sir(columns, radio, cell, d_cb, rotate=rotate)
+        got = evaluate_sir(columns, radio, cell, d_cb)[rotate]
         assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("d_cb", [0.0, 250.0])
+def test_evaluate_sir_in_many_row_blocks_matches_oracle(radio, cell, gd, d_cb, monkeypatch):
+    # with an 8-element span every set, of 3 pairs or more, runs through
+    # several row blocks, and both audits stay bit for bit those of the
+    # default span, one block for each of these sets
+    sets = _sir_sets(cell, gd, d_cb)
+    full = [evaluate_sir(columns, radio, cell, d_cb) for columns in sets]
+    assert all(columns.shape[1] ** 2 <= mcsim._SPAN for columns in sets)
+    monkeypatch.setattr(mcsim, "_SPAN", 8)
+    for columns, want in zip(sets, full):
+        n = columns.shape[1]
+        assert n > max(8 // n, 1)  # more than one block
+        got = evaluate_sir(columns, radio, cell, d_cb)
+        assert got == want
+        for rotate in (False, True):
+            oracle = sir_oracle(columns.T.tolist(), radio, cell, d_cb, rotate)
+            assert got[rotate] == pytest.approx(oracle, rel=1e-9)
+
+
+def test_evaluate_sir_memory_bounded():
+    # 4,000 pairs: one 4,000 x 4,000 float64 array alone would take 122 MiB
+    n = 4000
+    rng = np.random.default_rng(4000)
+    rho, theta = 480.0 * np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
+    pairs = np.array(
+        (rho * np.cos(theta), rho * np.sin(theta), rng.uniform(2.0, 20.0, n), rng.uniform(0.0, 6.3, n))
+    )
+    radio, cell = RadioConfig(noise_mode="zero"), CellConfig()
+    tracemalloc.start()
+    try:
+        nominal, swapped = evaluate_sir(pairs, radio, cell, 250.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert 0.0 < nominal[0] < SIR_CAP and 0.0 < swapped[1] < SIR_CAP
+
+
+def test_trial_audits_both_role_assignments_in_one_call(radio, cell, gd, monkeypatch):
+    calls = []
+    real = mcsim.evaluate_sir
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mcsim, "evaluate_sir", spy)
+    res = run_saturation_trial(TrialConfig(d_cb=250.0, seed=23), radio, cell, gd, 0)
+    assert len(calls) == 1
+    nominal, swapped = real(*calls[0])
+    assert nominal == (res.min_due_sir, res.bs_sir)
+    assert res.rotation_ok == (swapped[0] >= radio.sir_due and swapped[1] >= radio.sir_bs)
 
 
 def test_evaluate_sir_single_pair_no_cue(radio, cell):
     pair = (300.0, 0.0, 50.0, 0.3)
-    min_sir, bs_sir = evaluate_sir(np.array([pair]).T, radio, cell, 0.0)
+    (min_sir, bs_sir), _ = evaluate_sir(np.array([pair]).T, radio, cell, 0.0)
     assert min_sir == SIR_CAP  # no interferer, no CUE term at d_cb = 0
     tx, _ = endpoints(*pair)
     expected_bs = (
@@ -551,7 +612,7 @@ def test_evaluate_sir_single_pair_no_cue(radio, cell):
 def test_evaluate_sir_symmetric_pairs(radio, cell):
     a = (250.0, 0.0, 60.0, math.pi / 2.0)
     b = (-250.0, 0.0, 60.0, math.pi / 2.0)
-    min_sir, _ = evaluate_sir(np.array([a, b]).T, radio, cell, 0.0)
+    (min_sir, _), _ = evaluate_sir(np.array([a, b]).T, radio, cell, 0.0)
     # both receivers see one interferer at the same distance; compute one
     # side by hand
     d_cross = math.dist(endpoints(*a)[1], endpoints(*b)[0])
@@ -566,7 +627,7 @@ def test_evaluate_sir_symmetric_pairs(radio, cell):
 def test_evaluate_sir_includes_cue_interference(radio, cell):
     pair = (300.0, 0.0, 50.0, 0.3)
     d_cb = 100.0
-    min_sir, _ = evaluate_sir(np.array([pair]).T, radio, cell, d_cb)
+    (min_sir, _), _ = evaluate_sir(np.array([pair]).T, radio, cell, d_cb)
     p_cue = cue_tx_power(radio, cell, d_cb)
     want = (
         radio.p_due_mw
@@ -658,6 +719,42 @@ def test_aggregate_statistics():
         aggregate([])
 
 
+def test_aggregate_matches_numpy_at_nine_digits():
+    # random batches of 1-600 trials: Poisson pair counts at several bit
+    # rates, random SIRs and boolean verdicts; the exact fold prints the
+    # numpy statistics wherever an artifact would print them
+    rng = np.random.default_rng(1404)
+    rates = (2.0e6, 1.0e6 / 3.0, 5.5e6, 1.0e7 / 7.0, 20.0)
+    for batch in range(500):
+        n = int(rng.integers(1, 601))
+        rate = rates[batch % len(rates)]
+        counts = rng.poisson(rng.uniform(0.5, 40.0), n)
+        sirs = rng.lognormal(1.0, 2.0, (2, n))
+        verdicts = rng.random((2, n)) < rng.random()
+        results = [
+            TrialResult(int(k), int(k) * rate, float(a), float(b), bool(u), bool(v))
+            for k, a, b, u, v in zip(counts, *sirs, *verdicts)
+        ]
+        stats = aggregate(results)
+        for name in stats:
+            values = np.array([getattr(r, name) for r in results], dtype=float)
+            mean = float(values.mean())
+            stderr = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+            want = (mean, stderr, mean - 1.96 * stderr, mean + 1.96 * stderr)
+            got = stats[name]
+            assert [format_float(v) for v in (got.mean, got.stderr, got.ci_low, got.ci_high)] == [
+                format_float(v) for v in want
+            ], (batch, name)
+
+
+def test_aggregate_reads_any_iterable_once():
+    results = [TrialResult(k, 2.0e6 * k, 0.1 * k + 1.0, 3.0 / (k + 1), k % 2 == 0, k < 4) for k in range(9)]
+    assert aggregate(r for r in results) == aggregate(results)
+    stats = aggregate(iter([replace(results[0], bs_sir=math.inf), results[1]]))
+    assert stats["bs_sir"].mean == math.inf and math.isnan(stats["bs_sir"].stderr)
+    assert stats["min_due_sir"] == aggregate(results[:2])["min_due_sir"]
+
+
 def test_trial_config_validation():
     with pytest.raises(ValueError):
         TrialConfig(mode="bogus")
@@ -673,6 +770,11 @@ def test_trial_config_validation():
         TrialConfig(d2d_dist="fixed", d_fixed=500.0).check_cell(CellConfig())
     with pytest.raises(ValueError, match="sim.d2d_dist"):
         TrialConfig(mode="ppp", density=1e-4, d2d_dist="fixed", d_fixed=50.0)
-    TrialConfig(mode="ppp", density=1e-2).check_cell(CellConfig())
+    # the cap counts the node pairs within pairing's first shell: a few
+    # metres at the preset's d_min, d_max itself at d_min = 140 m
+    TrialConfig(mode="ppp", density=2e-2).check_cell(CellConfig())
+    TrialConfig(mode="ppp", density=5e-3).check_cell(CellConfig(d_min_m=140.0))
     with pytest.raises(ValueError, match="sim.densities"):
-        TrialConfig(mode="ppp", density=2e-2).check_cell(CellConfig())
+        TrialConfig(mode="ppp", density=1e-2).check_cell(CellConfig(d_min_m=140.0))
+    with pytest.raises(ValueError, match="sim.densities"):
+        TrialConfig(mode="ppp", density=1.0).check_cell(CellConfig())
