@@ -189,25 +189,22 @@ _COMMANDS = {"guard": cmd_guard, "bounds": cmd_bounds, "sweep": cmd_sweep, "simu
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="d2dcap",
-        description=(
-            "Guard distances, throughput bounds and Monte Carlo placement "
-            "simulation for D2D pairs reusing cellular uplink spectrum."
-        ),
+        description="Guard distances, throughput bounds and Monte Carlo placement simulation\n"
+        "for D2D pairs reusing cellular uplink spectrum.",
+        formatter_class=argparse.RawTextHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("guard", "solve the three guard radii and emit the record"),
-        ("bounds", "deployable area and throughput bounds over CUE position"),
-        ("sweep", "guard radii and packed throughput over a DUE-power grid"),
-        ("simulate", "Monte Carlo placement trials with analytic bound columns"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="YAML scenario file")
-        p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--trials", type=int, help="trials per grid point")
-        p.add_argument("--threads", type=int, help="ignored: trials run in the calling thread")
+    parser.add_argument("command", metavar="command", choices=tuple(_COMMANDS), help=(
+        "guard     solve the three guard radii and emit the record\n"
+        "bounds    deployable area and throughput bounds over CUE position\n"
+        "sweep     guard radii and packed throughput over a DUE-power grid\n"
+        "simulate  Monte Carlo placement trials with analytic bound columns"
+    ))
+    parser.add_argument("--config", metavar="PATH", help="YAML scenario file")
+    parser.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), help="output format")
+    parser.add_argument("--seed", type=int, help="master random seed")
+    parser.add_argument("--trials", type=int, help="trials per grid point")
+    parser.add_argument("--threads", type=int, help="ignored: trials run in the calling thread")
     return parser
 
 

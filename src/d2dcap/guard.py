@@ -215,7 +215,10 @@ def solve_gb(
             b = mid
         else:
             a = mid
-    if hexpack.packed_layout(g_d, b, cell).n_total == 0:
+    # every layer holds a pair, so the ring holds none exactly when it has no layer
+    r_e_min, _ = hexpack.disk_radii(g_d, cell)
+    layers = hexpack._layers(hexpack.hex_radii(b, cell.r_cell_m), cell.d_min_m, r_e_min)
+    if next(layers, None) is None:
         raise Infeasible(
             "the BS SIR constraint is met only where the ring holds no pair "
             f"(boundary guard radius {b:.3f} m of cell radius {cell.r_cell_m:g} m)"

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
@@ -73,10 +74,23 @@ def format_float(value: float) -> str:
     return f"{value:.9g}"
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The one YAML loader of scenarios: libyaml's safe loader where pyyaml
+    has it, else the pure-Python one, which builds the same mappings."""
+
+
+# YAML 1.2 exponent floats that YAML 1.1 leaves as strings: 1e-3, 1.0e3, 2E6
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 @functools.cache
 def _preset() -> dict:
     """DEFAULT_YAML parsed once per process; callers merge into a deep copy."""
-    return yaml.safe_load(DEFAULT_YAML)
+    return yaml.load(DEFAULT_YAML, Loader=_Loader)
 
 
 class ScenarioError(ValueError):
@@ -332,7 +346,7 @@ def load_scenario(
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                user = yaml.safe_load(fh)
+                user = yaml.load(fh, Loader=_Loader)
         except OSError as exc:
             raise ScenarioError(f"cannot read config file {path}: {exc}") from exc
         except yaml.YAMLError as exc:

@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import os
+import re
 import threading
 import tracemalloc
 from pathlib import Path
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from d2dcap import guard, hexpack, mcsim
+from d2dcap import guard, hexpack, mcsim, scenario
 from d2dcap.cli import main
 from d2dcap.guard import GB_TOL_M, guard_distances
 from d2dcap.propagation import CellConfig, RadioConfig
@@ -65,6 +67,56 @@ def test_command_golden_files(tmp_path, command, config, golden):
     code, out = run([command, "--config", str(DATA / config)], tmp_path, golden)
     assert code == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_golden_files_under_the_pure_python_loader(tmp_path, monkeypatch):
+    # the loader scenario falls back to when pyyaml has no libyaml
+    opened = []
+
+    class PurePythonLoader(yaml.SafeLoader):
+        yaml_implicit_resolvers = scenario._Loader.yaml_implicit_resolvers
+
+        def __init__(self, stream):
+            opened.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(scenario, "_Loader", PurePythonLoader)
+    monkeypatch.setattr(scenario, "_preset", functools.cache(scenario._preset.__wrapped__))
+    runs = [
+        ("guard", "small.yaml", "guard_small.csv"),
+        ("bounds", "small.yaml", "bounds_small.csv"),
+        ("sweep", "small.yaml", "sweep_small.csv"),
+        ("simulate", "small.yaml", "simulate_small.csv"),
+        ("simulate", "ppp_small.yaml", "simulate_ppp_small.json"),
+    ]
+    for command, config, golden in runs:
+        code, out = run([command, "--config", str(DATA / config)], tmp_path, golden)
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert len(opened) == 1 + len(runs)  # the preset once, then each config file
+
+
+def test_help_lists_the_four_commands(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    # one line per command: its name, then its description
+    listed = re.findall(r"^ +(?:command +)?(\w+) {2,}\w", capsys.readouterr().out, re.M)
+    assert listed == ["guard", "bounds", "sweep", "simulate"]
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--config", "x.yaml"], ["guard", "bounds"]])
+def test_missing_or_unknown_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: d2dcap" in capsys.readouterr().err
+
+
+def test_options_may_precede_the_command(tmp_path):
+    out = tmp_path / "guard.csv"
+    assert main(["--out", str(out), "--config", str(DATA / "small.yaml"), "guard"]) == 0
+    assert out.read_bytes() == (GOLDEN / "guard_small.csv").read_bytes()
 
 
 def test_bounds_first_row_full_ring(tmp_path):
@@ -297,6 +349,7 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("sweep: [{name: p_due, start: -1.0, stop: 1.0, steps: 3}]\n", "sweep[0].start"),
         ("versus: {name: bitrate, values: [-5.0]}\n", "versus.values"),
         ("radio: {pl_bs: 3.76}\n", "radio.pl_bs"),
+        ('radio: {p_due_mw: "0.5"}\n', "radio.p_due_mw"),  # quoted: a string
         ("radio: {p_cue_max_mw: .inf}\n", "radio.p_cue_max_mw"),
         ("radio: {sir_due: .inf}\n", "radio.sir_due"),
         ("radio: {pl_due: {exponent: .inf}}\n", "radio.pl_due.exponent"),
@@ -362,11 +415,16 @@ def test_bad_trials_in_config_file_exits_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["- 1\n- 2\n", "radio: {p_due_mw: [1\n", None],
+    "text, says",
+    [
+        ("- 1\n- 2\n", "the root must be a mapping"),
+        # libyaml and pyyaml word the parse error differently
+        ("radio: {p_due_mw: [1\n", "is not valid YAML"),
+        (None, "cannot read config file"),
+    ],
     ids=["list-root", "invalid-yaml", "missing-file"],
 )
-def test_config_file_error_exits_2_naming_the_file(tmp_path, capsys, text):
+def test_config_file_error_exits_2_naming_the_file(tmp_path, capsys, text, says):
     cfg = tmp_path / "scenario.yaml"
     if text is not None:
         cfg.write_text(text)
@@ -374,6 +432,18 @@ def test_config_file_error_exits_2_naming_the_file(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert err.startswith("d2dcap: configuration error: ")
     assert str(cfg) in err
+    assert says in err
+
+
+def test_exponent_float_without_a_dot_is_a_number(tmp_path):
+    artifacts = []
+    for n, literal in enumerate(["1e-3", "1.0e-3", "0.001"]):
+        cfg = tmp_path / f"p{n}.yaml"
+        cfg.write_text(f"radio: {{p_due_mw: {literal}}}\n")
+        code, out = run(["guard", "--config", str(cfg)], tmp_path, f"p{n}.csv")
+        assert code == 0
+        artifacts.append(out.read_bytes())
+    assert artifacts[0] == artifacts[1] == artifacts[2]
 
 
 @pytest.mark.parametrize("command", ["guard", "bounds", "sweep"])
@@ -568,6 +638,21 @@ def test_sweep_ring_sums_do_not_outlive_one_call(tmp_path, monkeypatch):
     # the preset sweep's 48 solves test 903 guard radii; 283 of them lie on
     # the previous point's bisection path, so 620 are summed
     assert per_call == [620, 620]
+
+
+def test_sweep_builds_one_layout_per_solved_row(tmp_path, monkeypatch):
+    cfg = tmp_path / "d_max_40.yaml"
+    cfg.write_text("cell: {d_max_m: 40.0}\n")
+    layouts = []
+    build_layout = hexpack.build_layout
+    monkeypatch.setattr(
+        hexpack, "build_layout", lambda *args: layouts.append(args) or build_layout(*args)
+    )
+    code, out = run(["sweep", "--config", str(cfg)], tmp_path)
+    assert code == 0
+    rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert sum(math.isfinite(float(row[-1])) for row in rows) == len(rows) == 48
+    assert len(layouts) == 48  # the packed count's; solve_gb builds none
 
 
 def test_simulate_default_cue_axis_ends_at_small_cell_edge(tmp_path):
