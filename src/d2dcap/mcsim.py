@@ -9,16 +9,17 @@ Two deployment modes validate the analytical bounds:
 * ppp: a Poisson number of nodes scattered in the cell, greedily matched
   into pairs within the allowed link range, then admitted in random order;
   candidate pairs come from a cell list one distance shell at a time, far
-  shells only among unmatched nodes, so memory grows with one shell's pairs.
+  shells only among unmatched nodes, each in runs of bounded size, so memory
+  grows with one shell's feasible pairs, not with its cell list's candidates.
 
 Both samplers admit through one kernel, `_Arena.admit`: every accepted
 pair respects the hard-core rules (inside the cell, clear of the BS guard
 disk and of the CUE cut-out) and disjoint exclusion disks.  A trial keeps
 its pairs only as the arena's columns, and one `evaluate_sir` call reads
 those columns to audit the guard-distance design after the fact, with the
-roles as placed and with every pair's transmitter and receiver swapped.
-The scalar form of the placement rules is the brute-force oracle in
-tests/test_mcsim.py.
+roles as placed and with every pair's transmitter and receiver swapped,
+both in one stacked pass.  The scalar form of the placement rules is the
+brute-force oracle in tests/test_mcsim.py.
 
 Trials are pure functions of (config, trial index); each derives its own
 random stream (for saturation, blocks of _BLOCK candidates drawn from the
@@ -36,7 +37,7 @@ import numpy as np
 
 from .guard import GuardDistances, compute_gc
 from .propagation import CellConfig, RadioConfig, cue_rx_power, cue_tx_power, path_loss
-from .scenario import PPP_MAX_PAIRS, TrialConfig
+from .scenario import PPP_MAX_PAIRS, TrialConfig, _shell_reach
 
 __all__ = [
     "SIR_CAP",
@@ -286,10 +287,12 @@ def _feasible_pairs(px, py, d_min: float, d_max: float):
     Nodes are binned on a grid of pitch just over d_max, so every feasible
     partner of a node sits in its own bin or one of the 8 around it; each
     bin is joined with itself and with 4 forward neighbours (a half
-    stencil), so no pair is listed twice and memory grows with the pairs in
-    neighbouring bins.  Distances are np.hypot(px[a] - px[b], py[a] - py[b]);
-    ties go by a * n + b, the stable order of the full distance matrix
-    scanned row by row above its diagonal.  Returns (a, b, distance).
+    stencil), so no pair is listed twice.  The stencil's (offset, node)
+    rows, offset-major, are walked in runs of at most _SPAN >> 3 candidates
+    (or one longer row), so memory grows with one run.  Distances are
+    np.hypot(px[a] - px[b], py[a] - py[b]); ties go by a * n + b, the
+    stable order of the full distance matrix scanned row by row above its
+    diagonal.  Returns (a, b, distance).
     """
     n = len(px)
     pitch = d_max * (1.0 + 1e-9)  # rounding cannot push a pair two bins apart
@@ -299,26 +302,26 @@ def _feasible_pairs(px, py, d_min: float, d_max: float):
     key = ix * stride + iy
     order = np.argsort(key, kind="stable")
     key = key[order]
-    pos = np.arange(n)
-    spans = [(pos + 1, np.searchsorted(key, key, side="right"))] + [
-        (np.searchsorted(key, key + off), np.searchsorted(key, key + off, side="right"))
-        for off in (1, stride - 1, stride, stride + 1)
-    ]
-    a_parts, b_parts, d_parts = [], [], []
-    for lo, hi in spans:
-        counts = hi - lo
-        first = np.cumsum(counts) - counts
-        i = order[np.repeat(pos, counts)]
-        j = order[np.repeat(lo - first, counts) + np.arange(len(i))]
+    targets = key + np.array((0, 1, stride - 1, stride, stride + 1))[:, None]
+    lo = np.searchsorted(key, targets).ravel()
+    lo[:n] = np.arange(1, n + 1)  # in a node's own bin, only the nodes after it
+    counts = np.searchsorted(key, targets, side="right").ravel() - lo
+    ends = np.cumsum(counts)
+    parts, r0 = [], 0
+    while r0 < 5 * n:
+        start = ends[r0] - counts[r0]
+        r1 = max(int(np.searchsorted(ends, start + (_SPAN >> 3), side="right")), r0 + 1)
+        c = counts[r0:r1]
+        i = order[np.repeat(np.arange(r0, r1) % n, c)]
+        j = order[np.repeat(lo[r0:r1] - (ends[r0:r1] - c - start), c) + np.arange(len(i))]
         dx, dy = px[i] - px[j], py[i] - py[j]
         near = dx * dx + dy * dy <= pitch * pitch
         a, b = np.minimum(i[near], j[near]), np.maximum(i[near], j[near])
         d = np.hypot(px[a] - px[b], py[a] - py[b])
         keep = (d >= d_min) & (d <= d_max)
-        a_parts.append(a[keep])
-        b_parts.append(b[keep])
-        d_parts.append(d[keep])
-    a, b, d = np.concatenate(a_parts), np.concatenate(b_parts), np.concatenate(d_parts)
+        parts.append((a[keep], b[keep], d[keep]))
+        r0 = r1
+    a, b, d = (np.concatenate(col) for col in zip(*parts))
     rank = np.argsort(d)
     d_sorted = d[rank]
     if np.any(d_sorted[1:] == d_sorted[:-1]):
@@ -363,9 +366,8 @@ def _match_in_shells(px, py, d_min: float, d_max: float, first: float):
     """
     used = np.zeros(len(px), dtype=bool)
     nodes, parts = np.arange(len(px)), []
-    hi = max(2.0 * d_min, first)
+    hi = _shell_reach(d_min, d_max, first)
     while True:
-        hi = hi if 2.0 * hi <= d_max else d_max
         a, b, d = _feasible_pairs(px[nodes], py[nodes], d_min, hi)
         taken = _greedy_matching(a, b, len(nodes))
         a, b = nodes[a[taken]], nodes[b[taken]]
@@ -374,7 +376,7 @@ def _match_in_shells(px, py, d_min: float, d_max: float, first: float):
         nodes = np.flatnonzero(~used)
         if hi == d_max or len(nodes) < 2:
             return tuple(np.concatenate(col) for col in zip(*parts))
-        hi *= 2.0
+        hi = _shell_reach(d_min, d_max, 2.0 * hi)
 
 
 def run_ppp_trial(
@@ -445,35 +447,37 @@ def evaluate_sir(
     control drives its transmit power to zero).  bs_sir is the controlled
     uplink power at the BS against the sum of all D2D transmitters seen
     through the BS-link model.  Interference-free receivers report SIR_CAP.
-    The receiver x transmitter gains are built a block of rows at a time,
-    at most _SPAN elements each, and every row is summed on its own.
+    Both audits run stacked: transmitters are (2, n) arrays, one row per role
+    assignment, and receivers the same rows reversed.  The receiver x
+    transmitter gains are built (2, rows, n) at a time, at most _SPAN
+    elements each, and every row is summed on its own.
     """
     cx, cy, d_link, angle = pairs
     n = len(cx)
     if not n:
         raise ValueError("evaluate_sir requires at least one pair")
     hx, hy = 0.5 * d_link * np.cos(angle), 0.5 * d_link * np.sin(angle)
-    ends = (cx + hx, cy + hy), (cx - hx, cy - hy)
+    tx_x, tx_y = np.array((cx + hx, cx - hx)), np.array((cy + hy, cy - hy))
+    rx_x, rx_y = tx_x[::-1], tx_y[::-1]
     desired = radio.p_due_mw * path_loss(radio.pl_due, d_link)
     p_cue = cue_tx_power(radio, cell, d_cb) if d_cb > 0.0 else 0.0
     p_r_cb = cue_rx_power(radio, cell)
-    step = max(_SPAN // n, 1)
-    audits = []
-    for (tx_x, tx_y), (rx_x, rx_y) in (ends, ends[::-1]):
-        interference = np.empty(n)
-        for i in range(0, n, step):
-            cross = np.hypot(rx_x[i : i + step, None] - tx_x, rx_y[i : i + step, None] - tx_y)
-            gains = radio.p_due_mw * radio.pl_due.gain(np.where(cross > 0.0, cross, 1.0))
-            np.fill_diagonal(gains[:, i:], 0.0)
-            interference[i : i + step] = gains.sum(axis=1)
-        if d_cb > 0.0:
-            interference += p_cue * path_loss(radio.pl_due, np.hypot(rx_x - d_cb, rx_y))
-        with np.errstate(divide="ignore"):
-            sir = np.where(interference > 0.0, desired / interference, SIR_CAP)
-        bs_interf = float(np.sum(radio.p_due_mw * path_loss(radio.pl_bs, np.hypot(tx_x, tx_y))))
-        bs_sir = p_r_cb / bs_interf if bs_interf > 0.0 else SIR_CAP
-        audits.append((float(np.minimum(sir, SIR_CAP).min()), min(bs_sir, SIR_CAP)))
-    return tuple(audits)
+    rows = max(_SPAN // (2 * n), 1)
+    interference = np.empty((2, n))
+    for i in range(0, n, rows):
+        block = slice(i, i + rows)
+        cross = np.hypot(rx_x[:, block, None] - tx_x[:, None], rx_y[:, block, None] - tx_y[:, None])
+        gains = radio.p_due_mw * radio.pl_due.gain(np.where(cross > 0.0, cross, 1.0))
+        k = np.arange(gains.shape[1])
+        gains[:, k, k + i] = 0.0
+        interference[:, block] = gains.sum(axis=2)
+    if d_cb > 0.0:
+        interference += p_cue * path_loss(radio.pl_due, np.hypot(rx_x - d_cb, rx_y))
+    sir = np.divide(desired, interference, out=np.full((2, n), SIR_CAP), where=interference > 0.0)
+    bs_interf = np.sum(radio.p_due_mw * path_loss(radio.pl_bs, np.hypot(tx_x, tx_y)), axis=1)
+    worst = np.minimum(sir, SIR_CAP).min(axis=1).tolist()
+    bs_sir = [min(p_r_cb / b, SIR_CAP) if b > 0.0 else SIR_CAP for b in bs_interf.tolist()]
+    return tuple(zip(worst, bs_sir))
 
 
 def aggregate(results: Iterable[TrialResult]) -> dict[str, MetricStats]:

@@ -130,8 +130,15 @@ _VERSUS_FIELDS = {"p_cue_max": "p_cue_max_mw", "bitrate": "bitrate_bps"}
 #: Largest expected count of node pairs within the first pairing shell's
 #: reach (see `TrialConfig.check_cell`), which is what PPP pairing lists at
 #: once.  At this count, pairing one node draw in the preset cell peaks at
-#: 34, 80 and 110 MiB traced (tracemalloc) for d_min 140, 50 and 2 m.
+#: 10, 66 and 100 MiB traced (tracemalloc) for d_min 140, 50 and 2 m.
 PPP_MAX_PAIRS = 1e6
+
+
+def _shell_reach(d_min: float, d_max: float, start: float) -> float:
+    """Reach of a PPP pairing shell starting at 1/sqrt(density), or at twice the
+    last reach: max(2 d_min, start), or d_max once twice that passes d_max."""
+    reach = max(2.0 * d_min, start)
+    return reach if 2.0 * reach <= d_max else d_max
 
 
 @dataclass(frozen=True)
@@ -177,16 +184,14 @@ class TrialConfig:
         """The cell-dependent rules: a fixed link length lies in [d_min, d_max],
         and a PPP density expects at most PPP_MAX_PAIRS node pairs within h,
         0.5 * N * density * pi * h^2 for N = density * pi r_cell^2 nodes.  h
-        is the reach of pairing's first shell, max(2 d_min, 1/sqrt(density)),
-        or d_max once twice that passes d_max (`mcsim._match_in_shells`).
+        is the reach of pairing's first shell (`_shell_reach`).
         """
         if self.d_fixed is not None and not cell.d_min_m <= self.d_fixed <= cell.d_max_m:
             raise ValueError(
                 f"sim.d_fixed must lie in [{cell.d_min_m}, {cell.d_max_m}], got {self.d_fixed}"
             )
         if self.mode == "ppp":
-            h = max(2.0 * cell.d_min_m, 1 / math.sqrt(self.density))
-            h = h if 2.0 * h <= cell.d_max_m else cell.d_max_m
+            h = _shell_reach(cell.d_min_m, cell.d_max_m, 1 / math.sqrt(self.density))
             x = self.density * math.pi * cell.r_cell_m
             pairs = 0.5 * x * x * h * h
             if not pairs <= PPP_MAX_PAIRS:

@@ -186,6 +186,42 @@ def test_shelled_matching_matches_quadratic_oracle(name):
         np.testing.assert_array_equal(d, np.hypot(px[a] - px[b], py[a] - py[b]))
 
 
+@pytest.mark.parametrize("budget", [1, 7])
+@pytest.mark.parametrize("name", list(NODE_SETS))
+def test_pairing_in_small_runs_matches_default_and_oracle(name, budget, monkeypatch):
+    # _feasible_pairs walks its stencil in runs of at most _SPAN >> 3
+    # candidate pairs; budgets of 1 and 7 cut the sets into many runs, and
+    # a stencil row longer than the budget is a run of its own
+    px, py, d_min, d_max = NODE_SETS[name]()
+    first = math.sqrt(np.ptp(px) * np.ptp(py) / len(px))
+    cand_i, cand_j, cand_d, matched = quadratic_pairing(px, py, d_min, d_max)
+    want = _feasible_pairs(px, py, d_min, d_max) + _match_in_shells(px, py, d_min, d_max, first)
+    monkeypatch.setattr(mcsim, "_SPAN", budget << 3)
+    listed = _feasible_pairs(px, py, d_min, d_max)
+    shelled = _match_in_shells(px, py, d_min, d_max, first)
+    for got, full in zip(listed + shelled, want):
+        np.testing.assert_array_equal(got, full)
+    for got, oracle in zip(listed, (cand_i, cand_j, cand_d)):
+        np.testing.assert_array_equal(got, oracle)
+    assert list(zip(shelled[0].tolist(), shelled[1].tolist())) == matched
+
+
+def test_thin_shell_pairing_memory_bounded():
+    # d_min 140 m at 6e-3 m^-2, at the PPP cap: 4,715 nodes whose one
+    # [140, 150] m shell joins every node pair in the 150 m stencil; walking
+    # the stencil's five spans in one pass traced over 100 MiB here
+    px, py, _, d_max = _ppp_nodes(6e-3, [1, 0])
+    assert len(px) == 4715
+    tracemalloc.start()
+    try:
+        a, _, d = _match_in_shells(px, py, 140.0, d_max, 1 / math.sqrt(6e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a) > 0 and d.min() >= 140.0
+    assert peak < 24 * 2**20
+
+
 def test_ppp_trial_memory_bounded_at_dense_deployment(radio, cell, gd):
     # about 7,850 nodes: the former N x N float64 matrix alone took ~470 MiB
     cfg = TrialConfig(mode="ppp", density=1e-2, d_cb=200.0, seed=3)
@@ -546,10 +582,10 @@ def test_evaluate_sir_matches_scalar_oracle(radio, cell, gd, d_cb, rotate):
 def test_evaluate_sir_in_many_row_blocks_matches_oracle(radio, cell, gd, d_cb, monkeypatch):
     # with an 8-element span every set, of 3 pairs or more, runs through
     # several row blocks, and both audits stay bit for bit those of the
-    # default span, one block for each of these sets
+    # default span, one (2, n, n) block for each of these sets
     sets = _sir_sets(cell, gd, d_cb)
     full = [evaluate_sir(columns, radio, cell, d_cb) for columns in sets]
-    assert all(columns.shape[1] ** 2 <= mcsim._SPAN for columns in sets)
+    assert all(2 * columns.shape[1] ** 2 <= mcsim._SPAN for columns in sets)
     monkeypatch.setattr(mcsim, "_SPAN", 8)
     for columns, want in zip(sets, full):
         n = columns.shape[1]
