@@ -171,13 +171,15 @@ def solve_gb(
     """Smallest BS guard radius satisfying the BS SIR constraint.
 
     A candidate g_b is feasible when the accumulated interference of the
-    hexagonal layout of minimum-size exclusion disks, 3 p_due times
-    `hexpack.ring_sum`, stays within the cap P_r,CB / sir_bs; the layout
-    itself is not built.  The feasibility boundary is located by
-    bisection on [g_d / 2, r_cell] to absolute tolerance GB_TOL_M; the lower
-    end keeps the deployable ring's inner radius non-negative and is
-    returned directly when feasible everywhere.  Raises Infeasible when
-    only configurations with zero admissible pairs satisfy the constraint.
+    hexagonal layout of minimum-size exclusion disks, 3 p_due times its
+    ring sum, stays within the cap P_r,CB / sir_bs; the layout itself is
+    not built.  One `hexpack.ring_sums` kernel per call sums every
+    candidate, so the parts of the sum that do not depend on g_b are
+    computed once.  The feasibility boundary is located by bisection on
+    [g_d / 2, r_cell] to absolute tolerance GB_TOL_M; the lower end keeps
+    the deployable ring's inner radius non-negative and is returned
+    directly when feasible everywhere.  Raises Infeasible when only
+    configurations with zero admissible pairs satisfy the constraint.
 
     `sums`, if given, maps (g_d, g_b) to ring sums of an earlier solve in
     the same cell under the same BS path loss.  Those sums are reused, and
@@ -190,12 +192,13 @@ def solve_gb(
     path = {} if sums is None else sums
     known = path.copy()
     path.clear()
+    ring_sum = hexpack.ring_sums(g_d, cell, cfg.pl_bs)
 
     def feasible(g_b: float) -> bool:
         key = (g_d, g_b)
         total = known.get(key)
         if total is None:
-            total = hexpack.ring_sum(g_d, g_b, cell, cfg.pl_bs)
+            total = ring_sum(g_b)
         path[key] = total
         return 3.0 * cfg.p_due_mw * total <= cap
 
@@ -217,8 +220,8 @@ def solve_gb(
             a = mid
     # every layer holds a pair, so the ring holds none exactly when it has no layer
     r_e_min, _ = hexpack.disk_radii(g_d, cell)
-    layers = hexpack._layers(hexpack.hex_radii(b, cell.r_cell_m), cell.d_min_m, r_e_min)
-    if next(layers, None) is None:
+    hexes = hexpack.hex_radii(b, cell.r_cell_m)
+    if not hexpack._layers(hexes.r_h1, hexes.r_h2, cell.d_min_m, r_e_min, []):
         raise Infeasible(
             "the BS SIR constraint is met only where the ring holds no pair "
             f"(boundary guard radius {b:.3f} m of cell radius {cell.r_cell_m:g} m)"

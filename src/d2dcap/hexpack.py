@@ -25,17 +25,20 @@ __all__ = [
     "build_layout",
     "packed_layout",
     "bs_interference",
-    "ring_sum",
+    "ring_sums",
     "first_layer_neighbors",
     "MAX_LAYERS",
     "LayoutTooLarge",
 ]
 
 _SQRT3 = math.sqrt(3.0)
+_SQRT2_3 = math.sqrt(2.0) / 3.0
+_GUARD_TERM = _SQRT3 * math.pi - 6.0
 
 #: Most layers a layout may hold.  A layout of L layers holds about
-#: 1.5 L^2 disks, and `ring_sum` computes about half as many distinct
-#: terms, one pass over the layers per guard radius the BS solver tries.
+#: 1.5 L^2 disks, and a `ring_sums` kernel computes about half as many
+#: distinct terms, one pass over the layers per guard radius the BS solver
+#: tries; its layer table holds at most L rows.
 MAX_LAYERS = 1000
 
 
@@ -90,32 +93,40 @@ def hex_radii(g_b: float, r_cell: float) -> HexApprox:
     pi (r_cell^2 - g_b^2) = (3 sqrt(3) / 2) (r_h2^2 - r_h1^2).
     g_b may equal r_cell, in which case the ring is empty (r_h2 = r_h1).
     """
+    return HexApprox(*_sides(g_b, r_cell, _SQRT3 * math.pi * r_cell**2))
+
+
+def _sides(g_b: float, r_cell: float, cell_term: float) -> tuple[float, float]:
+    """`hex_radii` as (r_h1, r_h2), given its cell term sqrt(3) pi r_cell^2."""
     if not 0.0 <= g_b <= r_cell:
         raise ValueError(f"guard radius must lie in [0, {r_cell}], got {g_b}")
-    r_h1 = 2.0 * g_b / _SQRT3
-    r_h2 = (math.sqrt(2.0) / 3.0) * math.sqrt(
-        _SQRT3 * math.pi * r_cell**2 - (_SQRT3 * math.pi - 6.0) * g_b**2
-    )
-    return HexApprox(r_h1=r_h1, r_h2=r_h2)
+    return 2.0 * g_b / _SQRT3, _SQRT2_3 * math.sqrt(cell_term - _GUARD_TERM * g_b**2)
 
 
-def _layers(hexes: HexApprox, d_min: float, r_e_min: float):
-    """Yield (kappa_i, (n_excl, n_incl)) for each layer `build_layout` lists.
+def _layers(r_h1: float, r_h2: float, d_min: float, r_e_min: float, rows: list) -> list:
+    """(kappa_i, (n_excl, n_incl)) for each layer `build_layout` lists.
 
-    Raises LayoutTooLarge, before the first layer, beyond MAX_LAYERS layers.
+    `rows` caches each layer's g_b-free shifts, 2 (i - 1) r_e_min and
+    (2 i - 3) r_e_min, and grows to the widest ring asked for.  Raises
+    LayoutTooLarge, before any layer is listed, beyond MAX_LAYERS layers.
     """
-    arg = (hexes.r_h2 - hexes.r_h1 - d_min) / (2.0 * r_e_min)
+    arg = (r_h2 - r_h1 - d_min) / (2.0 * r_e_min)
     if not arg < MAX_LAYERS:
         raise LayoutTooLarge(
-            f"cell.r_cell_m: a ring of width {hexes.r_h2 - hexes.r_h1:.6g} m holds "
+            f"cell.r_cell_m: a ring of width {r_h2 - r_h1:.6g} m holds "
             f"{arg:.3g} layers of disks of radius {r_e_min:.6g} m, more than {MAX_LAYERS}"
         )
-    n_layers = 0 if arg < 0.0 else int(math.floor(arg)) + 1
-    base = hexes.r_h1 + d_min / 2.0
-    for i in range(1, n_layers + 1):
-        kappa_i = base + 2.0 * (i - 1) * r_e_min
-        n_excl = int(math.floor((base + (2 * i - 3) * r_e_min) / (2.0 * r_e_min)))
-        yield kappa_i, (max(n_excl, 0), int(math.floor(kappa_i / (2.0 * r_e_min))) + 1)
+    n_layers = 0 if arg < 0.0 else math.floor(arg) + 1
+    for i in range(len(rows) + 1, n_layers + 1):
+        rows.append((2.0 * (i - 1) * r_e_min, (2 * i - 3) * r_e_min))
+    base = r_h1 + d_min / 2.0
+    step = 2.0 * r_e_min
+    floor = math.floor
+    layers = []
+    for shift, edge in rows[:n_layers]:
+        kappa_i = base + shift
+        layers.append((kappa_i, (max(floor((base + edge) / step), 0), floor(kappa_i / step) + 1)))
+    return layers
 
 
 def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayout:
@@ -131,7 +142,7 @@ def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayou
     excluding count is clamped at 0 for degenerate inner hexagons.  Raises
     LayoutTooLarge beyond MAX_LAYERS layers.
     """
-    layers = list(_layers(hexes, d_min, r_e_min))
+    layers = _layers(hexes.r_h1, hexes.r_h2, d_min, r_e_min, [])
     return PackingLayout(
         tuple(counts for _, counts in layers), tuple(kappa for kappa, _ in layers), r_e_min
     )
@@ -147,7 +158,7 @@ def packed_layout(g_d: float, g_b: float, cell: CellConfig) -> PackingLayout:
     return build_layout(hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min)
 
 
-def _sum_layers(layers, r_e: float, pl_bs: PathLossModel) -> float:
+def _sum_layers(layers, offsets: list, r_e: float, beta: float, alpha: float) -> float:
     """One-third ring sum of beta / d^alpha over (kappa_i, (n_excl, n_incl)) layers.
 
     Within layer i (base distance kappa_i) the lattice offsets are
@@ -156,15 +167,19 @@ def _sum_layers(layers, r_e: float, pl_bs: PathLossModel) -> float:
     sqrt(kappa_i^2 + kappa^2 - kappa_i * kappa).  The two sides share most
     offsets, so each offset's term is computed once; the terms are still
     added excluding side, then including side, one layer at a time.
+    `offsets` caches each offset kappa with its square, and grows to the
+    widest layer summed, so a ring-sum kernel builds them once per solve.
     """
     step = 2.0 * r_e
-    beta, alpha = pl_bs.beta, pl_bs.exponent
     sqrt = math.sqrt
     total = 0.0
     for kappa_i, (n_excl, n_incl) in layers:
+        width = max(n_excl + 1, n_incl)
+        for m in range(len(offsets), width):
+            o = step * m
+            offsets.append((o, o * o))
         k2 = kappa_i**2
-        offsets = [step * m for m in range(max(n_excl + 1, n_incl))]
-        terms = [beta / sqrt(k2 + o * o - kappa_i * o) ** alpha for o in offsets]
+        terms = [beta / sqrt(k2 + oo - kappa_i * o) ** alpha for o, oo in offsets[:width]]
         # loops, not sum(): on Python >= 3.12 sum() compensates, giving other bits
         layer = 0.0
         for term in terms[1 : n_excl + 1]:
@@ -182,18 +197,32 @@ def bs_interference(layout: PackingLayout, p_due: float, pl_bs: PathLossModel) -
     sum is tripled for the full ring.
     """
     layers = zip(layout.kappa, layout.per_layer)
-    return 3.0 * p_due * _sum_layers(layers, layout.r_e, pl_bs)
+    return 3.0 * p_due * _sum_layers(layers, [], layout.r_e, pl_bs.beta, pl_bs.exponent)
 
 
-def ring_sum(g_d: float, g_b: float, cell: CellConfig, pl_bs: PathLossModel) -> float:
-    """The one-third sum behind `bs_interference` of `packed_layout(g_d, g_b, cell)`.
+def ring_sums(g_d: float, cell: CellConfig, pl_bs: PathLossModel):
+    """Ring-sum kernel: g_b -> the one-third sum behind `bs_interference` of
+    `packed_layout(g_d, g_b, cell)`.
 
-    3 p_due ring_sum(...) equals that interference bit for bit, without
-    building the layout.
+    3 p_due ring_sums(g_d, cell, pl_bs)(g_b) equals that interference bit
+    for bit, without building the layout.  What does not depend on g_b is
+    computed once per kernel: r_e_min, beta and alpha, the hexagon's cell
+    term, and the tables of layer shifts and lattice offsets, which grow
+    to the widest ring asked for.  Each call computes the hexagon sides,
+    the layers' base distances and counts, and their terms.
     """
+    r_cell, d_min = cell.r_cell_m, cell.d_min_m
     r_e_min, _ = disk_radii(g_d, cell)
-    layers = _layers(hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min)
-    return _sum_layers(layers, r_e_min, pl_bs)
+    cell_term = _SQRT3 * math.pi * r_cell**2
+    beta, alpha = pl_bs.beta, pl_bs.exponent
+    rows, offsets = [], []
+
+    def ring_sum(g_b: float) -> float:
+        r_h1, r_h2 = _sides(g_b, r_cell, cell_term)
+        layers = _layers(r_h1, r_h2, d_min, r_e_min, rows)
+        return _sum_layers(layers, offsets, r_e_min, beta, alpha)
+
+    return ring_sum
 
 
 def first_layer_neighbors(g_d: float, r_e_min: float, r_e_max: float) -> int:

@@ -198,10 +198,13 @@ def test_solve_gb_with_shared_sums_equals_fresh_solves(sweep, monkeypatch):
     fields, d_max, versus, versus_values, p_due_grid = GB_SWEEPS[sweep]
     cell = CellConfig(d_max_m=d_max)
     calls = []
-    ring_sum = hexpack.ring_sum
-    monkeypatch.setattr(
-        hexpack, "ring_sum", lambda *args: calls.append(args) or ring_sum(*args)
-    )
+    ring_sums = hexpack.ring_sums
+
+    def counting_ring_sums(*args):
+        ring_sum = ring_sums(*args)
+        return lambda g_b: calls.append(g_b) or ring_sum(g_b)
+
+    monkeypatch.setattr(hexpack, "ring_sums", counting_ring_sums)
     sums = {}
     shared_calls = fresh_calls = solved = 0
     for value in versus_values:
@@ -221,6 +224,7 @@ def test_solve_gb_with_shared_sums_equals_fresh_solves(sweep, monkeypatch):
             fresh_calls += len(calls)
             assert shared == fresh, (value, p_due)
     assert solved >= len(p_due_grid) // 2
+    assert fresh_calls > 0
     if sweep == "per_hz":
         assert shared_calls == fresh_calls  # no two points share a g_d
     else:

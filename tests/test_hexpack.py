@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from d2dcap import hexpack
 from d2dcap.hexpack import (
     MAX_LAYERS,
     HexApprox,
@@ -14,7 +16,7 @@ from d2dcap.hexpack import (
     first_layer_neighbors,
     hex_radii,
     packed_layout,
-    ring_sum,
+    ring_sums,
 )
 from d2dcap.guard import solve_gd
 from d2dcap.propagation import CellConfig, PathLossModel, RadioConfig
@@ -193,6 +195,9 @@ def test_ring_sum_is_bs_interference_bit_for_bit(case):
     g_d, _, _ = solve_gd(radio, cell)
     lo = g_d / 2.0
     grid = [lo + (cell.r_cell_m - lo) * i / 600 for i in range(601)]
+    # shuffled, so the kernel's tables serve narrow rings after wider ones
+    random.Random(case).shuffle(grid)
+    ring_sum = ring_sums(g_d, cell, radio.pl_bs)
     layer_counts = set()
     for g_b in grid:
         layout = packed_layout(g_d, g_b, cell)
@@ -200,13 +205,40 @@ def test_ring_sum_is_bs_interference_bit_for_bit(case):
         for p_due in (radio.p_due_mw, 0.37):
             want = one_by_one_interference(layout, p_due, radio.pl_bs)
             assert bs_interference(layout, p_due, radio.pl_bs) == want
-            assert 3.0 * p_due * ring_sum(g_d, g_b, cell, radio.pl_bs) == want
+            assert 3.0 * p_due * ring_sum(g_b) == want
+            assert 3.0 * p_due * ring_sums(g_d, cell, radio.pl_bs)(g_b) == want
     assert len(layer_counts) >= 4  # the grid crosses several layer-count changes
 
 
-def test_ring_sum_refuses_more_than_max_layers():
+@pytest.mark.parametrize("case", sorted(RING_CASES))
+def test_ring_sums_at_the_ends_of_the_guard_range(case):
+    overrides, d_max = RING_CASES[case]
+    radio = RadioConfig(noise_mode="zero", **overrides)
+    cell = CellConfig(d_max_m=d_max)
+    g_d, _, _ = solve_gd(radio, cell)
+    r_e_min = (g_d + cell.d_min_m) / 2.0
+    ring_sum = ring_sums(g_d, cell, radio.pl_bs)
+    # near the cell edge the ring holds no layer and sums to zero
+    assert packed_layout(g_d, cell.r_cell_m, cell).per_layer == ()
+    assert ring_sum(cell.r_cell_m) == 0.0
+    # at g_b = 0 the first layer's excluding count is clamped up from -1
+    assert math.floor((cell.d_min_m / 2.0 - r_e_min) / (2.0 * r_e_min)) == -1
+    layout = packed_layout(g_d, 0.0, cell)
+    assert layout.per_layer[0][0] == 0
+    assert 3.0 * 0.37 * ring_sum(0.0) == one_by_one_interference(layout, 0.37, radio.pl_bs)
+    for g_b in (-1e-9, cell.r_cell_m * (1.0 + 1e-12)):
+        with pytest.raises(ValueError, match="guard radius"):
+            ring_sum(g_b)
+
+
+def test_ring_sum_refuses_more_than_max_layers(monkeypatch):
+    # the kernel raises on the call, before any term is summed
+    summed = []
+    monkeypatch.setattr(hexpack, "_sum_layers", lambda *args: summed.append(args))
+    ring_sum = ring_sums(0.0, CellConfig(r_cell_m=1e4, d_min_m=2.0), PathLossModel(3.76, -15.3))
     with pytest.raises(LayoutTooLarge, match="cell.r_cell_m"):
-        ring_sum(0.0, 0.0, CellConfig(r_cell_m=1e4, d_min_m=2.0), PathLossModel(3.76, -15.3))
+        ring_sum(0.0)
+    assert summed == []
 
 
 def test_first_layer_neighbors_kissing_number():
