@@ -35,7 +35,7 @@ for point, d_cb in enumerate((0.0, 125.0, 250.0, 375.0, 500.0)):
     cfg = TrialConfig(d_cb=d_cb, seed=2718)
     results = [run_saturation_trial(cfg, radio, cell, gd, point * trials + t) for t in range(trials)]
     stats = aggregate(results)
-    tb = throughput_bounds(deployable_area(d_cb, gd, cell), gd, radio.bitrate_bps)
+    tb = throughput_bounds(deployable_area(d_cb, gd, cell).area_m2, gd, radio.bitrate_bps)
     curves.append((d_cb, stats["throughput_bps"].mean, tb.t_lower_bps, tb.t_upper_bps))
     print(
         f"{d_cb:9.0f} {stats['n_pairs'].mean:11.2f} {stats['throughput_bps'].mean / 1e6:16.2f}"

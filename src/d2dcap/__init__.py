@@ -26,7 +26,6 @@ from .bounds import (
     ThroughputBounds,
     deployable_area,
     k_thresholds,
-    packing_upper_bound,
     pair_capacity,
     ring_area,
     throughput_bounds,
@@ -44,7 +43,6 @@ from .guard import (
     solve_gd,
 )
 from .hexpack import (
-    HexApprox,
     PackingLayout,
     bs_interference,
     build_layout,

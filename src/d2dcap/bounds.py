@@ -51,7 +51,6 @@ __all__ = [
     "deployable_area",
     "pair_capacity",
     "throughput_bounds",
-    "packing_upper_bound",
 ]
 
 CASE_FULL_RING = "full-ring"
@@ -153,36 +152,27 @@ def deployable_area(d_cb: float, gd: GuardDistances, cell: CellConfig) -> Deploy
     return DeployableArea(area_m2=area, case_label=case, regime=regime)
 
 
-def pair_capacity(area, r_e: float) -> float:
-    """Continuous pair count: area / (2 sqrt(3) r_e^2).
+def pair_capacity(area_m2: float, r_e: float) -> float:
+    """Continuous pair count: area_m2 / (2 sqrt(3) r_e^2).
 
     Each disk of radius r_e claims a hexagonal lattice cell of area
     2 sqrt(3) r_e^2.  The value is deliberately not floored: the
     throughput bounds use it as a continuous quantity, while the integer
-    construction lives in `hexpack`.  `area` may be a DeployableArea or a
-    plain area in m^2.
+    construction lives in `hexpack`.
     """
     if r_e <= 0.0:
         raise ValueError("disk radius must be positive")
-    area_m2 = getattr(area, "area_m2", area)
     return area_m2 / (2.0 * _SQRT3 * r_e**2)
 
 
-def throughput_bounds(area, gd: GuardDistances, r_b: float) -> ThroughputBounds:
-    """Aggregate throughput bounds for deployable area `area`.
+def throughput_bounds(area_m2: float, gd: GuardDistances, r_b: float) -> ThroughputBounds:
+    """Aggregate throughput bounds for a deployable area of area_m2 (m^2).
 
     Upper bound: every pair at the shortest link (disk radius r_e_min);
     lower bound: every pair at the longest (r_e_max).  Both equal
     r_b * pair_capacity at the respective radius.
     """
     return ThroughputBounds(
-        t_upper_bps=r_b * pair_capacity(area, gd.r_e_min),
-        t_lower_bps=r_b * pair_capacity(area, gd.r_e_max),
+        t_upper_bps=r_b * pair_capacity(area_m2, gd.r_e_min),
+        t_lower_bps=r_b * pair_capacity(area_m2, gd.r_e_max),
     )
-
-
-def packing_upper_bound(n_pairs: int, r_b: float) -> float:
-    """Throughput (bit/s) of `n_pairs` concurrent pairs at rate r_b each."""
-    if n_pairs < 0:
-        raise ValueError("pair count must be non-negative")
-    return n_pairs * r_b

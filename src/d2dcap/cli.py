@@ -83,7 +83,7 @@ def cmd_bounds(scenario: Scenario) -> list[dict]:
     rows = []
     for d_cb in axis.values():
         area = bounds.deployable_area(d_cb, gd, scenario.cell)
-        tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
+        tb = bounds.throughput_bounds(area.area_m2, gd, scenario.radio.bitrate_bps)
         rows.append(
             {
                 "d_cb_m": d_cb,
@@ -118,9 +118,7 @@ def cmd_sweep(scenario: Scenario) -> list[dict]:
             try:
                 g_d = guard.solve_gd(radio, cell)[0]
                 g_b = guard.solve_gb(radio, cell, g_d, sums)
-                t_upper = bounds.packing_upper_bound(
-                    hexpack.packed_layout(g_d, g_b, cell).n_total, radio.bitrate_bps
-                )
+                t_upper = hexpack.packed_layout(g_d, g_b, cell).n_total * radio.bitrate_bps
             except _SOLVER_FAILURES:
                 pass
             rows.append(
@@ -163,7 +161,7 @@ def cmd_simulate(scenario: Scenario) -> list[dict]:
             for t in range(n)
         )
         area = bounds.deployable_area(cfg.d_cb, gd, scenario.cell)
-        tb = bounds.throughput_bounds(area, gd, scenario.radio.bitrate_bps)
+        tb = bounds.throughput_bounds(area.area_m2, gd, scenario.radio.bitrate_bps)
         tput = stats["throughput_bps"]
         row = {"density_per_m2": cfg.density} if cfg.mode == "ppp" else {}
         row.update(

@@ -220,8 +220,8 @@ def solve_gb(
             a = mid
     # every layer holds a pair, so the ring holds none exactly when it has no layer
     r_e_min, _ = hexpack.disk_radii(g_d, cell)
-    hexes = hexpack.hex_radii(b, cell.r_cell_m)
-    if not hexpack._layers(hexes.r_h1, hexes.r_h2, cell.d_min_m, r_e_min, []):
+    r_h1, r_h2 = hexpack.hex_radii(b, cell.r_cell_m)
+    if not hexpack._layers(r_h1, r_h2, cell.d_min_m, r_e_min, []):
         raise Infeasible(
             "the BS SIR constraint is met only where the ring holds no pair "
             f"(boundary guard radius {b:.3f} m of cell radius {cell.r_cell_m:g} m)"

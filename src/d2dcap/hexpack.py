@@ -18,7 +18,6 @@ from .geometry import arc_length
 from .propagation import CellConfig, PathLossModel
 
 __all__ = [
-    "HexApprox",
     "PackingLayout",
     "disk_radii",
     "hex_radii",
@@ -44,14 +43,6 @@ MAX_LAYERS = 1000
 
 class LayoutTooLarge(ValueError):
     """The cell is too wide for the disks: the layout would exceed MAX_LAYERS."""
-
-
-@dataclass(frozen=True)
-class HexApprox:
-    """Side lengths of the inner and outer approximation hexagons (m)."""
-
-    r_h1: float
-    r_h2: float
 
 
 @dataclass(frozen=True)
@@ -85,22 +76,19 @@ def disk_radii(g_d: float, cell: CellConfig) -> tuple[float, float]:
     return (g_d + cell.d_min_m) / 2.0, (g_d + cell.d_max_m) / 2.0
 
 
-def hex_radii(g_b: float, r_cell: float) -> HexApprox:
-    """Hexagon side lengths for guard radius g_b inside a cell of radius r_cell.
+def hex_radii(g_b: float, r_cell: float) -> tuple[float, float]:
+    """Side lengths (r_h1, r_h2) of the inner and outer approximation hexagons
+    for guard radius g_b inside a cell of radius r_cell.
 
     The inner hexagon circumscribes the guard disk (r_h1 = 2 g_b / sqrt(3));
     the outer side solves the area identity
     pi (r_cell^2 - g_b^2) = (3 sqrt(3) / 2) (r_h2^2 - r_h1^2).
     g_b may equal r_cell, in which case the ring is empty (r_h2 = r_h1).
     """
-    return HexApprox(*_sides(g_b, r_cell, _SQRT3 * math.pi * r_cell**2))
-
-
-def _sides(g_b: float, r_cell: float, cell_term: float) -> tuple[float, float]:
-    """`hex_radii` as (r_h1, r_h2), given its cell term sqrt(3) pi r_cell^2."""
     if not 0.0 <= g_b <= r_cell:
         raise ValueError(f"guard radius must lie in [0, {r_cell}], got {g_b}")
-    return 2.0 * g_b / _SQRT3, _SQRT2_3 * math.sqrt(cell_term - _GUARD_TERM * g_b**2)
+    r_h2 = _SQRT2_3 * math.sqrt(_SQRT3 * math.pi * r_cell**2 - _GUARD_TERM * g_b**2)
+    return 2.0 * g_b / _SQRT3, r_h2
 
 
 def _layers(r_h1: float, r_h2: float, d_min: float, r_e_min: float, rows: list) -> list:
@@ -129,8 +117,9 @@ def _layers(r_h1: float, r_h2: float, d_min: float, r_e_min: float, rows: list) 
     return layers
 
 
-def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayout:
-    """Layered arrangement of disks of radius r_e_min in the hexagon ring.
+def build_layout(hexes: tuple[float, float], d_min: float, r_e_min: float) -> PackingLayout:
+    """Layered arrangement of disks of radius r_e_min in the ring between
+    hexagons of sides `hexes` = (r_h1, r_h2).
 
     floor((r_h2 - r_h1 - d_min) / (2 r_e_min)) + 1 layers fit between the
     hexagons, none when the gap is narrower than d_min (the construction
@@ -142,7 +131,7 @@ def build_layout(hexes: HexApprox, d_min: float, r_e_min: float) -> PackingLayou
     excluding count is clamped at 0 for degenerate inner hexagons.  Raises
     LayoutTooLarge beyond MAX_LAYERS layers.
     """
-    layers = _layers(hexes.r_h1, hexes.r_h2, d_min, r_e_min, [])
+    layers = _layers(*hexes, d_min, r_e_min, [])
     return PackingLayout(
         tuple(counts for _, counts in layers), tuple(kappa for kappa, _ in layers), r_e_min
     )
@@ -206,19 +195,18 @@ def ring_sums(g_d: float, cell: CellConfig, pl_bs: PathLossModel):
 
     3 p_due ring_sums(g_d, cell, pl_bs)(g_b) equals that interference bit
     for bit, without building the layout.  What does not depend on g_b is
-    computed once per kernel: r_e_min, beta and alpha, the hexagon's cell
-    term, and the tables of layer shifts and lattice offsets, which grow
-    to the widest ring asked for.  Each call computes the hexagon sides,
-    the layers' base distances and counts, and their terms.
+    computed once per kernel: r_e_min, beta and alpha, and the tables of
+    layer shifts and lattice offsets, which grow to the widest ring asked
+    for.  Each call computes the hexagon sides (`hex_radii`), the layers'
+    base distances and counts, and their terms.
     """
     r_cell, d_min = cell.r_cell_m, cell.d_min_m
     r_e_min, _ = disk_radii(g_d, cell)
-    cell_term = _SQRT3 * math.pi * r_cell**2
     beta, alpha = pl_bs.beta, pl_bs.exponent
     rows, offsets = [], []
 
     def ring_sum(g_b: float) -> float:
-        r_h1, r_h2 = _sides(g_b, r_cell, cell_term)
+        r_h1, r_h2 = hex_radii(g_b, r_cell)
         layers = _layers(r_h1, r_h2, d_min, r_e_min, rows)
         return _sum_layers(layers, offsets, r_e_min, beta, alpha)
 

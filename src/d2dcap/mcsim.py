@@ -30,7 +30,7 @@ order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -181,11 +181,11 @@ class _Arena:
 
 
 def _finish(
-    arena: _Arena, cfg: TrialConfig, radio: RadioConfig, cell: CellConfig
+    arena: _Arena, cfg: TrialConfig, radio: RadioConfig, cell: CellConfig, floor_hit: bool = False
 ) -> TrialResult:
     n = len(arena.cx)
     if n == 0:
-        return TrialResult(0, 0.0, SIR_CAP, SIR_CAP, True, True)
+        return TrialResult(0, 0.0, SIR_CAP, SIR_CAP, True, True, floor_hit)
     pairs = np.array((arena.cx, arena.cy, arena.d_d2d, arena.angle))
 
     def meets(min_sir: float, bs_sir: float) -> bool:
@@ -199,6 +199,7 @@ def _finish(
         bs_sir=bs_sir,
         rotation_ok=meets(*swapped),
         sir_ok=meets(min_sir, bs_sir),
+        floor_hit=floor_hit,
     )
 
 
@@ -278,7 +279,7 @@ def run_saturation_trial(
         raise ValueError("run_saturation_trial requires a saturation-mode TrialConfig")
     cfg.check_cell(cell)
     arena, floor_hit = _saturate(cfg, cell, gd, trial_index)
-    return replace(_finish(arena, cfg, radio, cell), floor_hit=floor_hit)
+    return _finish(arena, cfg, radio, cell, floor_hit)
 
 
 def _feasible_pairs(px, py, d_min: float, d_max: float):

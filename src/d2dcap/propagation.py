@@ -80,18 +80,6 @@ class PathLossModel:
                 f"path-loss intercept_db={self.intercept_db} gives linear gain {self.beta}"
             )
 
-    @classmethod
-    def from_db_at(cls, distance_m: float, gain_db: float, exponent: float) -> "PathLossModel":
-        """Build a model from its dB gain at a reference distance.
-
-        Example: a link measured at -128.1 dB at 1 km with exponent 3.76
-        has a 1 m intercept of -128.1 + 37.6 * lg(1000) = -15.3 dB.
-        """
-        if distance_m <= 0.0:
-            raise ValueError("reference distance must be positive")
-        intercept = gain_db + 10.0 * exponent * math.log10(distance_m)
-        return cls(exponent=exponent, intercept_db=intercept)
-
     @property
     def beta(self) -> float:
         """Linear gain at 1 m."""

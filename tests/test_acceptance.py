@@ -35,7 +35,7 @@ def packed_throughput(radio: RadioConfig, cell: CellConfig) -> tuple[float, floa
     g_d, _, _ = solve_gd(radio, cell)
     g_b = solve_gb(radio, cell, g_d)
     n_pairs = hexpack.packed_layout(g_d, g_b, cell).n_total
-    return bounds.packing_upper_bound(n_pairs, radio.bitrate_bps), g_b, g_d
+    return n_pairs * radio.bitrate_bps, g_b, g_d
 
 
 def argmax_plateau(values, grid):
@@ -218,7 +218,7 @@ def test_criterion_06_throughput_flat_then_decreasing():
     grid = np.linspace(0.0, cell.r_cell_m, 800)
     t_u = [
         bounds.throughput_bounds(
-            bounds.deployable_area(float(d), gd, cell), gd, radio.bitrate_bps
+            bounds.deployable_area(float(d), gd, cell).area_m2, gd, radio.bitrate_bps
         ).t_upper_bps
         for d in grid
     ]
@@ -259,7 +259,7 @@ def test_criterion_07_simulation_bracketed_by_bounds():
             ]
         )
         tb = bounds.throughput_bounds(
-            bounds.deployable_area(float(d_cb), gd, cell), gd, radio.bitrate_bps
+            bounds.deployable_area(float(d_cb), gd, cell).area_m2, gd, radio.bitrate_bps
         )
         if tb.t_lower_bps <= mean_tp <= tb.t_upper_bps:
             inside += 1
@@ -300,7 +300,7 @@ def test_simulation_bracketed_by_bounds_in_other_slope_regimes(regime, radio, ce
     for point, d_cb in enumerate((0.0, 100.0, 250.0, 400.0)):
         area = bounds.deployable_area(d_cb, gd, cell)
         assert area.regime == regime
-        tb = bounds.throughput_bounds(area, gd, radio.bitrate_bps)
+        tb = bounds.throughput_bounds(area.area_m2, gd, radio.bitrate_bps)
         cfg = TrialConfig(d_cb=d_cb, seed=7)
         mean_tp = np.mean(
             [

@@ -14,7 +14,6 @@ from d2dcap.bounds import (
     REGIME_MID,
     deployable_area,
     k_thresholds,
-    packing_upper_bound,
     pair_capacity,
     ring_area,
     throughput_bounds,
@@ -186,13 +185,6 @@ def test_pair_capacity_trivial():
         pair_capacity(1.0, 0.0)
 
 
-def test_pair_capacity_accepts_area_record(gd, cell):
-    area = deployable_area(0.0, gd, cell)
-    assert pair_capacity(area, gd.r_e_min) == pytest.approx(
-        pair_capacity(area.area_m2, gd.r_e_min), rel=1e-15
-    )
-
-
 def test_throughput_bounds_zero_area(gd, cell):
     tb = throughput_bounds(0.0, gd, 2e6)
     assert tb.t_upper_bps == 0.0 and tb.t_lower_bps == 0.0
@@ -206,7 +198,7 @@ def test_throughput_ratio_identity(gd, cell):
 
 
 def test_throughput_matches_capacity_definition(gd, cell):
-    area = deployable_area(100.0, gd, cell)
+    area = deployable_area(100.0, gd, cell).area_m2
     tb = throughput_bounds(area, gd, 2e6)
     assert tb.t_upper_bps == pytest.approx(
         2e6 * pair_capacity(area, gd.r_e_min), rel=1e-12
@@ -235,13 +227,6 @@ def test_area_flat_then_non_increasing_regime_low(cell):
     assert inside[-1] < s_r
 
 
-def test_packing_upper_bound():
-    assert packing_upper_bound(0, 2e6) == 0.0
-    assert packing_upper_bound(100, 2e6) == 200e6
-    with pytest.raises(ValueError):
-        packing_upper_bound(-1, 2e6)
-
-
 def test_deployable_area_rejects_out_of_cell(gd, cell):
     with pytest.raises(ValueError):
         deployable_area(-1.0, gd, cell)
@@ -267,5 +252,5 @@ def test_swallowed_ring_area_clamped_at_zero(p_due_mw, p_cue_max_mw, d_max_m, d_
     area = deployable_area(d_cb, gd, cell)
     assert area.case_label == CASE_DOUBLE_CROSS
     assert area.area_m2 == 0.0
-    tb = throughput_bounds(area, gd, radio.bitrate_bps)
+    tb = throughput_bounds(area.area_m2, gd, radio.bitrate_bps)
     assert tb.t_upper_bps == 0.0 and tb.t_lower_bps == 0.0

@@ -51,19 +51,18 @@ def grid_scan_gd(radio, cell, step=0.01):
     return g[consistent], n_s[consistent]
 
 
+def layout_interference(radio, cell, g_d, g_b):
+    """BS interference of the built layout of minimum-size disks outside g_b."""
+    r_e_min = (g_d + cell.d_min_m) / 2.0
+    layout = hexpack.build_layout(hexpack.hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min)
+    return hexpack.bs_interference(layout, radio.p_due_mw, radio.pl_bs)
+
+
 def linear_scan_gb(radio, cell, g_d, step=0.01):
     """Independent oracle: first feasible guard radius walking up from g_d/2."""
-    r_e_min = (g_d + cell.d_min_m) / 2.0
     cap = radio.p_cue_max_mw * path_loss(radio.pl_bs, cell.r_cell_m) / radio.sir_bs
-
-    def interference(g_b):
-        layout = hexpack.build_layout(
-            hexpack.hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min
-        )
-        return hexpack.bs_interference(layout, radio.p_due_mw, radio.pl_bs)
-
     g = g_d / 2.0
-    while interference(g) > cap:
+    while layout_interference(radio, cell, g_d, g) > cap:
         g += step
         if g > cell.r_cell_m:
             raise AssertionError("scan oracle found no feasible radius")
@@ -164,17 +163,9 @@ def test_solve_gb_boundary_tight(radio, cell):
     g_d, _, _ = solve_gd(radio, cell)
     g_b = solve_gb(radio, cell, g_d)
     assert g_b > g_d / 2.0  # interior solution at these parameters
-    r_e_min = (g_d + cell.d_min_m) / 2.0
     cap = radio.p_cue_max_mw * path_loss(radio.pl_bs, cell.r_cell_m) / radio.sir_bs
-
-    def interference(g):
-        layout = hexpack.build_layout(
-            hexpack.hex_radii(g, cell.r_cell_m), cell.d_min_m, r_e_min
-        )
-        return hexpack.bs_interference(layout, radio.p_due_mw, radio.pl_bs)
-
-    assert interference(g_b) <= cap
-    assert interference(g_b - 2e-3) > cap
+    assert layout_interference(radio, cell, g_d, g_b) <= cap
+    assert layout_interference(radio, cell, g_d, g_b - 2e-3) > cap
 
 
 def _p_due_grid(start, stop, steps):

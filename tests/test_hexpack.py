@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from d2dcap import hexpack
 from d2dcap.hexpack import (
     MAX_LAYERS,
-    HexApprox,
     LayoutTooLarge,
     PackingLayout,
     bs_interference,
@@ -18,32 +17,40 @@ from d2dcap.hexpack import (
     packed_layout,
     ring_sums,
 )
-from d2dcap.guard import solve_gd
+from d2dcap.guard import guard_distances, solve_gd
 from d2dcap.propagation import CellConfig, PathLossModel, RadioConfig
 
 SQRT3 = math.sqrt(3.0)
 
 
-def enumerate_interference(layout, p_due, pl, r_e_min):
-    """Coordinate oracle: place every disk centre explicitly and sum powers.
+def layered_centres(hexes, d_min, r_e_min):
+    """Coordinate oracle: every disk centre of the layered construction, (n, 2).
 
-    The base of layer i sits at kappa_i along the radial axis; the two
-    lattice rows leave it at +/-120 degrees from that axis, which is the
+    The base of layer i sits at (kappa_i, 0) on the seed radial.  The
+    excluding side's j-th disk (j = 1..n_excl) sits 2 j r_e_min from it at
+    +120 degrees from the outward radial, the including side's k-th disk
+    (k = 1..n_incl) 2 (k - 1) r_e_min from it at -120 degrees; this is the
     vector-geometry counterpart of the law-of-cosines distances used by
-    the implementation.
+    the implementation.  The other two thirds are that third rotated by
+    120 and 240 degrees.
     """
-    u = np.array([1.0, 0.0])
     w_excl = np.array([-0.5, SQRT3 / 2.0])
     w_incl = np.array([-0.5, -SQRT3 / 2.0])
-    total = 0.0
-    for kappa_i, (n_excl, n_incl) in zip(layout.kappa, layout.per_layer):
-        for j in range(1, n_excl + 1):
-            pos = kappa_i * u + (2.0 * j * r_e_min) * w_excl
-            total += p_due * pl.beta / np.hypot(*pos) ** pl.exponent
-        for kk in range(1, n_incl + 1):
-            pos = kappa_i * u + (2.0 * (kk - 1) * r_e_min) * w_incl
-            total += p_due * pl.beta / np.hypot(*pos) ** pl.exponent
-    return 3.0 * total
+    third = []
+    for kappa_i, (n_excl, n_incl) in hexpack._layers(*hexes, d_min, r_e_min, []):
+        base = np.array([kappa_i, 0.0])
+        third += [base + 2.0 * j * r_e_min * w_excl for j in range(1, n_excl + 1)]
+        third += [base + 2.0 * (k - 1) * r_e_min * w_incl for k in range(1, n_incl + 1)]
+    third = np.reshape(third, (-1, 2))
+    turns = [2.0 * math.pi * m / 3.0 for m in range(3)]
+    return np.concatenate(
+        [third @ np.array([[math.cos(t), math.sin(t)], [-math.sin(t), math.cos(t)]]) for t in turns]
+    )
+
+
+def coordinate_interference(centres, p_due, pl):
+    """Received power at the BS (the origin) from one transmitter per centre."""
+    return float(np.sum(p_due * pl.beta / np.hypot(centres[:, 0], centres[:, 1]) ** pl.exponent))
 
 
 def one_by_one_interference(layout, p_due, pl):
@@ -62,21 +69,21 @@ def one_by_one_interference(layout, p_due, pl):
 
 
 def test_hex_radii_full_disk_limit():
-    hexes = hex_radii(0.0, 500.0)
-    assert hexes.r_h1 == 0.0
-    assert hexes.r_h2 == pytest.approx(500.0 * math.sqrt(2.0 * SQRT3 * math.pi) / 3.0, rel=1e-12)
+    r_h1, r_h2 = hex_radii(0.0, 500.0)
+    assert r_h1 == 0.0
+    assert r_h2 == pytest.approx(500.0 * math.sqrt(2.0 * SQRT3 * math.pi) / 3.0, rel=1e-12)
 
 
 def test_hex_radii_touches_cell_boundary():
     r_cell = 500.0
-    hexes = hex_radii(r_cell * SQRT3 / 2.0, r_cell)
-    assert hexes.r_h1 == pytest.approx(r_cell, rel=1e-12)
+    r_h1, _ = hex_radii(r_cell * SQRT3 / 2.0, r_cell)
+    assert r_h1 == pytest.approx(r_cell, rel=1e-12)
 
 
 def test_hex_radii_pinned():
-    hexes = hex_radii(300.0, 500.0)
-    assert hexes.r_h1 == pytest.approx(346.41016151377546, rel=1e-12)
-    assert hexes.r_h2 == pytest.approx(559.8856420600400, rel=1e-12)
+    r_h1, r_h2 = hex_radii(300.0, 500.0)
+    assert r_h1 == pytest.approx(346.41016151377546, rel=1e-12)
+    assert r_h2 == pytest.approx(559.8856420600400, rel=1e-12)
 
 
 def test_hex_radii_rejects_outside_cell():
@@ -89,9 +96,9 @@ def test_hex_radii_rejects_outside_cell():
 @given(st.floats(min_value=1e-3, max_value=499.999))
 def test_hex_area_identity(g_b):
     r_cell = 500.0
-    hexes = hex_radii(g_b, r_cell)
+    r_h1, r_h2 = hex_radii(g_b, r_cell)
     ring = math.pi * (r_cell**2 - g_b**2)
-    trapezoids = 1.5 * SQRT3 * (hexes.r_h2**2 - hexes.r_h1**2)
+    trapezoids = 1.5 * SQRT3 * (r_h2**2 - r_h1**2)
     assert trapezoids == pytest.approx(ring, rel=1e-9)
 
 
@@ -103,14 +110,13 @@ def test_layer_count_examples():
         assert len(layout.per_layer) == len(layout.kappa)
         return len(layout.kappa)
 
-    assert n_layers(HexApprox(100.0, 100.0 + d_min)) == 1
-    assert n_layers(HexApprox(100.0, 100.0 + d_min + 4 * r_e_min)) == 3
-    assert n_layers(HexApprox(100.0, 100.5)) == 0
+    assert n_layers((100.0, 100.0 + d_min)) == 1
+    assert n_layers((100.0, 100.0 + d_min + 4 * r_e_min)) == 3
+    assert n_layers((100.0, 100.5)) == 0
 
 
 def test_layer_pairs_degenerate_inner_hexagon():
-    hexes = HexApprox(0.0, 1000.0)
-    assert build_layout(hexes, 0.0, 50.0).per_layer[0] == (0, 1)
+    assert build_layout((0.0, 1000.0), 0.0, 50.0).per_layer[0] == (0, 1)
 
 
 @given(
@@ -170,10 +176,42 @@ def test_bs_interference_matches_coordinate_oracle():
         r_e_min = rng.uniform(5.0, 120.0)
         d_min = rng.uniform(0.5, 10.0)
         p_due = rng.uniform(0.05, 5.0)
-        layout = build_layout(hex_radii(g_b, 500.0), d_min, r_e_min)
-        got = bs_interference(layout, p_due, pl)
-        want = enumerate_interference(layout, p_due, pl, r_e_min)
+        hexes = hex_radii(g_b, 500.0)
+        got = bs_interference(build_layout(hexes, d_min, r_e_min), p_due, pl)
+        want = coordinate_interference(layered_centres(hexes, d_min, r_e_min), p_due, pl)
         assert got == pytest.approx(want, rel=1e-9)
+
+
+# (radio overrides, d_max_m) -> (n_total, centres beyond r_cell - d_min/2,
+# the farthest centre's BS distance in m): the preset and the d_max 55, 40
+# and 30 m recipes of the benchmark
+CENTRE_CASES = {
+    "preset": (({}, 150.0), (27, 3, 502.5)),
+    "d_max_55": (({"p_due_mw": 0.05, "p_cue_max_mw": 100.0}, 55.0), (168, 6, 527.1)),
+    "d_max_40": (({"p_due_mw": 0.1, "p_cue_max_mw": 200.0}, 40.0), (324, 30, 549.8)),
+    "d_max_30": (({"p_due_mw": 0.1, "p_cue_max_mw": 200.0}, 30.0), (480, 15, 520.6)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENTRE_CASES))
+def test_layered_centres_at_the_solved_radii(case):
+    (overrides, d_max), (n_total, n_beyond, farthest) = CENTRE_CASES[case]
+    radio = RadioConfig(noise_mode="zero", **overrides)
+    cell = CellConfig(d_max_m=d_max)
+    gd = guard_distances(radio, cell)
+    centres = layered_centres(hex_radii(gd.g_b, cell.r_cell_m), cell.d_min_m, gd.r_e_min)
+    layout = packed_layout(gd.g_d, gd.g_b, cell)
+    assert len(centres) == layout.n_total == n_total
+    gaps = np.hypot(*(centres[:, None, :] - centres[None, :, :]).transpose(2, 0, 1))
+    np.fill_diagonal(gaps, np.inf)
+    assert gaps.min() >= 2.0 * gd.r_e_min * (1.0 - 1e-9)
+    assert coordinate_interference(centres, 1.0, radio.pl_bs) == pytest.approx(
+        bs_interference(layout, 1.0, radio.pl_bs), rel=1e-12
+    )
+    # the area-matched outer hexagon puts some centres beyond the hard-core edge
+    rho = np.hypot(centres[:, 0], centres[:, 1])
+    assert np.count_nonzero(rho > cell.r_cell_m - cell.d_min_m / 2.0) == n_beyond
+    assert rho.max() == pytest.approx(farthest, abs=0.05)
 
 
 # (radio overrides, d_max_m): the preset and the three analytic recipes of

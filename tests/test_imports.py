@@ -1,13 +1,22 @@
-"""The analytic commands run without numpy; the simulator's names load lazily."""
+"""The analytic commands run without numpy, the simulator's names load lazily, and
+every name a module exports resolves."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import d2dcap
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+# every module of the package but `__main__`, which runs the CLI on import
+MODULES = sorted(
+    m.name for m in pkgutil.iter_modules(d2dcap.__path__) if m.name != "__main__"
+)
 
 
 def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -63,3 +72,10 @@ def test_simulator_names_resolve_lazily():
         "print('ok')\n"
     )
     assert _fresh(code).stdout.split() == ["ok"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"d2dcap.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == [], f"d2dcap.{name}.__all__ lists names it does not define"

@@ -80,8 +80,12 @@ def test_path_loss_log_log_linear(d1, d2):
 def test_model_invariants():
     with pytest.raises(ValueError):
         PathLossModel(exponent=0.0, intercept_db=-38.0)
-    model = PathLossModel.from_db_at(1000.0, -128.1, 3.76)
-    assert model.intercept_db == pytest.approx(-15.3, rel=1e-12)
+    # the preset BS link: -128.1 dB at 1 km with exponent 3.76 is -15.3 dB at 1 m
+    model = RadioConfig().pl_bs
+    assert model.exponent == 3.76
+    assert -128.1 + 10.0 * model.exponent * math.log10(1000.0) == pytest.approx(
+        model.intercept_db, rel=1e-12
+    )
 
 
 def test_cue_power_boundary_and_half(radio, cell):
