@@ -10,7 +10,9 @@ Two deployment modes validate the analytical bounds:
   into pairs within the allowed link range, then admitted in random order;
   candidate pairs come from a cell list one distance shell at a time, far
   shells only among unmatched nodes, each in runs of bounded size, so memory
-  grows with one shell's feasible pairs, not with its cell list's candidates.
+  grows with one shell's feasible pairs, not with its cell list's candidates;
+  a table of bin offsets, at most _BINS_PER_NODE bins per node (the pitch,
+  never below d_max, widens to keep it so), gives each node's neighbours.
 
 Both samplers admit through one kernel, `_Arena.admit`: every accepted
 pair respects the hard-core rules (inside the cell, clear of the BS guard
@@ -66,6 +68,8 @@ _MAX_SPLITS = 40
 _MAX_CELLS = 1 << 18
 #: Most elements of a (disks x cells) or (disks x candidates) array.
 _SPAN = 1 << 16
+#: Most bins per node in the cell list of PPP pairing.
+_BINS_PER_NODE = 64
 
 
 @dataclass(frozen=True)
@@ -285,49 +289,71 @@ def run_saturation_trial(
 def _feasible_pairs(px, py, d_min: float, d_max: float):
     """Node pairs a < b with d_min <= |ab| <= d_max, nearest first.
 
+    The pairs come from `_cell_list_pairs`, a cell list of pitch never below
+    d_max, widened so that its table of bin offsets holds at most
+    _BINS_PER_NODE bins per node.  Distances are np.hypot(px[a] - px[b],
+    py[a] - py[b]); ties go by a * n + b, the stable order of the full
+    distance matrix scanned row by row above its diagonal, so neither the
+    pitch nor the order in which the cell list meets the pairs changes the
+    result.  Returns (a, b, distance).
+    """
+    a, b, d = _cell_list_pairs(px, py, d_min, d_max)
+    rank = np.argsort(d)
+    d_sorted = d[rank]
+    if np.any(d_sorted[1:] == d_sorted[:-1]):
+        rank = np.lexsort((a * len(px) + b, d))
+    return a[rank], b[rank], d[rank]
+
+
+def _cell_list_pairs(px, py, d_min: float, d_max: float):
+    """The pairs of `_feasible_pairs`, unsorted, from a cell list (a function
+    of its own, so that its arrays are freed before the caller sorts).
+
     Nodes are binned on a grid of pitch just over d_max, so every feasible
     partner of a node sits in its own bin or one of the 8 around it; each
-    bin is joined with itself and with 4 forward neighbours (a half
-    stencil), so no pair is listed twice.  The stencil's (offset, node)
-    rows, offset-major, are walked in runs of at most _SPAN >> 3 candidates
-    (or one longer row), so memory grows with one run.  Distances are
-    np.hypot(px[a] - px[b], py[a] - py[b]); ties go by a * n + b, the
-    stable order of the full distance matrix scanned row by row above its
-    diagonal.  Returns (a, b, distance).
+    bin is joined with itself and 4 forward neighbours (a half stencil), so
+    no pair is listed twice.  The pitch doubles until the grid has at most
+    _BINS_PER_NODE bins per node; a table of bin offsets (sorted on 16-bit
+    keys while the grid has at most 2**16 bins) gives each stencil row's
+    span of partners by lookup.  The stencil's (offset, node) rows,
+    offset-major, are walked in runs of at most _SPAN >> 3 candidates (or
+    one longer row), so memory grows with one run; each candidate's
+    distance is computed once and kept if it lies in [d_min, d_max].
     """
     n = len(px)
+    x0, y0 = px.min(), py.min()
+    w, h = float(px.max() - x0), float(py.max() - y0)
     pitch = d_max * (1.0 + 1e-9)  # rounding cannot push a pair two bins apart
-    ix = ((px - px.min()) / pitch).astype(np.int64)
-    iy = ((py - py.min()) / pitch).astype(np.int64)
+    while (w / pitch + 2.0) * (h / pitch + 2.0) > _BINS_PER_NODE * n:
+        pitch *= 2.0
+    ix = ((px - x0) / pitch).astype(np.int64)
+    iy = ((py - y0) / pitch).astype(np.int64)
     stride = int(iy.max()) + 2  # a spare, empty column: iy - 1 never wraps a row
+    size = (int(ix.max()) + 2) * stride  # every stencil target lies below this
     key = ix * stride + iy
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key.astype(np.uint16) if size <= 1 << 16 else key, kind="stable")
     key = key[order]
+    first = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=size), out=first[1:])
     targets = key + np.array((0, 1, stride - 1, stride, stride + 1))[:, None]
-    lo = np.searchsorted(key, targets).ravel()
+    lo = first[targets].ravel()
     lo[:n] = np.arange(1, n + 1)  # in a node's own bin, only the nodes after it
-    counts = np.searchsorted(key, targets, side="right").ravel() - lo
+    counts = first[1:][targets].ravel() - lo
     ends = np.cumsum(counts)
+    xs, ys = px[order], py[order]
     parts, r0 = [], 0
     while r0 < 5 * n:
         start = ends[r0] - counts[r0]
         r1 = max(int(np.searchsorted(ends, start + (_SPAN >> 3), side="right")), r0 + 1)
         c = counts[r0:r1]
-        i = order[np.repeat(np.arange(r0, r1) % n, c)]
-        j = order[np.repeat(lo[r0:r1] - (ends[r0:r1] - c - start), c) + np.arange(len(i))]
-        dx, dy = px[i] - px[j], py[i] - py[j]
-        near = dx * dx + dy * dy <= pitch * pitch
-        a, b = np.minimum(i[near], j[near]), np.maximum(i[near], j[near])
-        d = np.hypot(px[a] - px[b], py[a] - py[b])
-        keep = (d >= d_min) & (d <= d_max)
-        parts.append((a[keep], b[keep], d[keep]))
+        i = np.repeat(np.arange(r0, r1) % n, c)
+        j = np.repeat(lo[r0:r1] - (ends[r0:r1] - c - start), c) + np.arange(len(i))
+        d = np.hypot(xs[i] - xs[j], ys[i] - ys[j])
+        keep = np.flatnonzero((d >= d_min) & (d <= d_max))
+        i, j = order[i[keep]], order[j[keep]]
+        parts.append((np.minimum(i, j), np.maximum(i, j), d[keep]))
         r0 = r1
-    a, b, d = (np.concatenate(col) for col in zip(*parts))
-    rank = np.argsort(d)
-    d_sorted = d[rank]
-    if np.any(d_sorted[1:] == d_sorted[:-1]):
-        rank = np.lexsort((a * n + b, d))
-    return a[rank], b[rank], d[rank]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _greedy_matching(a, b, n: int):

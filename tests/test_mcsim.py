@@ -144,6 +144,55 @@ def _cluster_nodes():
     return 100.0 + 20.0 * rng.random(60), -50.0 + 20.0 * rng.random(60), 2.0, 150.0
 
 
+def _wide_key_nodes():
+    # 1,200 nodes over a 265 m square at d_max 1 m: about 267 x 267 bins,
+    # within the cap of 64 per node, so the bin keys pass 2**16 (to 70,486);
+    # each of the last 600 nodes lies 0.05 to 1.05 m from one of the first
+    rng = np.random.default_rng(5)
+    x, y = 265.0 * rng.random((2, 600))
+    heading = rng.uniform(0.0, 2.0 * math.pi, 600)
+    reach = 0.05 + rng.random(600)
+    return (
+        np.concatenate((x, x + reach * np.cos(heading))),
+        np.concatenate((y, y + reach * np.sin(heading))),
+        0.1,
+        1.0,
+    )
+
+
+def _line_nodes(vertical):
+    # 400 nodes on one axis-parallel line, on a half-metre lattice: a single
+    # row or column of bins, and many equal distances
+    along = 0.5 * np.random.default_rng(6).choice(2000, size=400, replace=False)
+    across = np.full(400, -3.0)
+    px, py = (across, along) if vertical else (along, across)
+    return px, py, 1.0, 4.0
+
+
+def _bin_edge_nodes():
+    # bin corners k * pitch from a node at the origin, each with partners at
+    # d_max along both axes and at d_min diagonally, across the bin edges
+    d_min, d_max = 1.0, 4.0
+    pitch = d_max * (1.0 + 1e-9)
+    corner = pitch * np.arange(1.0, 9.0)
+    x, y = (v.ravel() for v in np.meshgrid(corner, corner))
+    diagonal = d_min / math.sqrt(2.0)
+    steps = [(0.0, 0.0), (d_max, 0.0), (-d_max, 0.0), (0.0, d_max), (0.0, -d_max)]
+    steps += [(sx * diagonal, sy * diagonal) for sx in (-1, 1) for sy in (-1, 1)]
+    px = np.concatenate([[0.0]] + [x + dx for dx, _ in steps])
+    py = np.concatenate([[0.0]] + [y + dy for _, dy in steps])
+    return px, py, d_min, d_max
+
+
+def _sparse_wide_nodes():
+    # 200 nodes over a 2 km square at d_max 1 m, 100 of them within 0.8 m of
+    # another: a bin table at pitch d_max would hold about 4 million bins
+    rng = np.random.default_rng(7)
+    x, y = 2000.0 * rng.random((2, 100))
+    dx, dy = 0.8 * rng.random((2, 100))
+    return np.concatenate((x, x + dx)), np.concatenate((y, y - dy)), 0.1, 1.0
+
+
 NODE_SETS = {
     "ppp-4e-05": lambda: _ppp_nodes(4e-5, 1),
     "ppp-1e-03": lambda: _ppp_nodes(1e-3, 2),
@@ -153,6 +202,11 @@ NODE_SETS = {
     "lattice-2": lambda: _lattice_nodes(2),
     "cluster": _cluster_nodes,
     "no-feasible-pair": lambda: (np.array([0.0, 200.0]), np.array([0.0, 0.0]), 2.0, 150.0),
+    "wide-keys": _wide_key_nodes,
+    "one-row": lambda: _line_nodes(False),
+    "one-column": lambda: _line_nodes(True),
+    "bin-edges": _bin_edge_nodes,
+    "sparse-wide": _sparse_wide_nodes,
 }
 
 
@@ -220,6 +274,21 @@ def test_thin_shell_pairing_memory_bounded():
         tracemalloc.stop()
     assert len(a) > 0 and d.min() >= 140.0
     assert peak < 24 * 2**20
+
+
+def test_sparse_wide_pairing_bin_table_bounded():
+    # a bin table at pitch d_max over this set's bounding box would hold
+    # about 4 million bins and traced 59 MiB; at most 64 bins per node hold
+    # at most 12,800 (0.09 MiB traced in all)
+    px, py, d_min, d_max = NODE_SETS["sparse-wide"]()
+    tracemalloc.start()
+    try:
+        a, _, _ = _feasible_pairs(px, py, d_min, d_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a) > 50
+    assert peak < 2**20
 
 
 def test_ppp_trial_pairs_by_shells_at_dense_deployment(radio, cell, gd):
@@ -503,6 +572,37 @@ def test_fixed_links_jam_at_rsa_coverage(radio):
         inside = np.hypot(arena.cx, arena.cy) <= window
         coverage.append(inside.sum() * 1.0**2 / window**2)
     assert abs(np.mean(coverage) - 0.547) < 0.02
+
+
+def test_dense_ppp_passes_saturation_toward_fixed_shortest_links(radio, cell, gd):
+    # Nearest-first matching shortens the links as the density grows, and a
+    # shorter link has a smaller exclusion disk, (d + g_d)/2: the PPP mean
+    # pair count rises past the uniform-link saturation mean and heads for
+    # the jamming count of links fixed at d_min, a random sequential
+    # addition of equal disks (Feder 1980).  On 300 trials per point these
+    # means are 12.94 (saturation), 16.21 (fixed at d_min) and 7.07, 10.71,
+    # 13.08, 14.71 and 15.28 (PPP, at the densities below).  Each mean here
+    # pools 24 trials at each of 5 CUE positions; a trial's count varies by
+    # about 2 pairs, so a mean's standard error is near 0.2, and "clearly
+    # above" means by more than 3 standard errors of the difference.
+    def mean_pairs(runner, **options):
+        counts = [
+            runner(TrialConfig(d_cb=d_cb, seed=1980 + point, **options), radio, cell, gd, t).n_pairs
+            for point, d_cb in enumerate((0.0, 100.0, 200.0, 300.0, 400.0))
+            for t in range(24)
+        ]
+        return np.mean(counts), np.std(counts, ddof=1) / math.sqrt(len(counts))
+
+    def clearly_above(x, y):
+        return x[0] - y[0] > 3.0 * math.hypot(x[1], y[1])
+
+    densities = (1.2e-4, 5e-4, 2e-3, 1e-2, 2e-2)
+    ppp = [mean_pairs(run_ppp_trial, mode="ppp", density=lam) for lam in densities]
+    saturation = mean_pairs(run_saturation_trial)
+    fixed = mean_pairs(run_saturation_trial, d2d_dist="fixed", d_fixed=cell.d_min_m)
+    assert not any(clearly_above(lo, hi) for lo, hi in zip(ppp, ppp[1:]))  # never decreases
+    assert clearly_above(saturation, ppp[1]) and clearly_above(ppp[3], saturation)
+    assert 0.85 * fixed[0] < ppp[-1][0] < fixed[0]
 
 
 @pytest.mark.parametrize("density", [1e-4, 1e-3])
