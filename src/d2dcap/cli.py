@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -184,7 +185,9 @@ def cmd_simulate(scenario: Scenario) -> list[dict]:
 _COMMANDS = {"guard": cmd_guard, "bounds": cmd_bounds, "sweep": cmd_sweep, "simulate": cmd_simulate}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser per process, built by the first `main` call."""
     parser = argparse.ArgumentParser(
         prog="d2dcap",
         description="Guard distances, throughput bounds and Monte Carlo placement simulation\n"

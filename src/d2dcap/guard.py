@@ -10,7 +10,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from . import hexpack
 from .propagation import (
@@ -252,9 +252,10 @@ def guard_report(cfg: RadioConfig, cell: CellConfig) -> dict:
 
     The fields keep the GuardDistances order; lengths get an `_m` suffix.
     """
+    gd = guard_distances(cfg, cell)
     record = {
-        name if name in ("k", "n_s", "gd_iterations") else f"{name}_m": value
-        for name, value in asdict(guard_distances(cfg, cell)).items()
+        f.name if f.name in ("k", "n_s", "gd_iterations") else f"{f.name}_m": getattr(gd, f.name)
+        for f in fields(gd)
     }
     record.update(noise_mode=cfg.noise_mode, sir_due=cfg.sir_due, sir_bs=cfg.sir_bs)
     return record

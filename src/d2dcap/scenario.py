@@ -14,12 +14,11 @@ artifacts.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
@@ -89,7 +88,7 @@ _Loader.add_implicit_resolver(
 
 @functools.cache
 def _preset() -> dict:
-    """DEFAULT_YAML parsed once per process; callers merge into a deep copy."""
+    """DEFAULT_YAML parsed once per process; `_merge` never hands out its containers."""
     return yaml.load(DEFAULT_YAML, Loader=_Loader)
 
 
@@ -260,16 +259,18 @@ def _integer(value, where: str) -> int:
 
 def _merge(base: dict, user, where: str = "") -> dict:
     """Overlay `user` on the preset mapping `base`, whose keys and values are
-    the schema, and return `base`.
+    the schema, and return the result as a new mapping in `base`'s key order.
 
     Nested mappings merge key by key, so a partial override keeps the
     preset's other values.  Where the preset holds a float the user gives a
     finite number, stored as a float; where it holds an int, an integer;
     where it holds a list, a list or null (an empty list) of numbers, or of
-    mappings merged onto `_AXIS_PRESET` for `sweep`.
+    mappings merged onto `_AXIS_PRESET` for `sweep`.  Every mapping and list
+    of the result is new, so a caller may change it without touching `base`.
     """
     if not isinstance(user, dict):
         raise ScenarioError(f"{where} must be a mapping")
+    given = {}
     for key, value in user.items():
         path = f"{where}.{key}" if where else f"{key}"
         if key not in base:
@@ -281,7 +282,7 @@ def _merge(base: dict, user, where: str = "") -> dict:
             if not (value is None or isinstance(value, list)):
                 raise ScenarioError(f"{path} must be a list")
             value = [
-                _merge(dict(_AXIS_PRESET), v, f"{path}[{n}]") if key == "sweep"
+                _merge(_AXIS_PRESET, v, f"{path}[{n}]") if key == "sweep"
                 else _number(v, path)
                 for n, v in enumerate(value or [])
             ]
@@ -289,8 +290,14 @@ def _merge(base: dict, user, where: str = "") -> dict:
             value = _number(value, path)
         elif isinstance(preset, int):
             value = _integer(value, path)
-        base[key] = value
-    return base
+        given[key] = value
+    return {
+        key: given[key] if key in given
+        else _merge(preset, {}) if isinstance(preset, dict)
+        else list(preset) if isinstance(preset, list)
+        else preset
+        for key, preset in base.items()
+    }
 
 
 def _build(cls, kwargs: dict, where: str = ""):
@@ -326,7 +333,7 @@ def _flatten(mapping: dict, prefix: str = "") -> dict:
     flat = {}
     for key, value in mapping.items():
         if is_dataclass(value):
-            value = asdict(value)
+            value = {f.name: getattr(value, f.name) for f in fields(value)}
         if isinstance(value, dict):
             flat.update(_flatten(value, f"{prefix}{key}."))
         else:
@@ -361,7 +368,7 @@ def load_scenario(
         if not isinstance(user, dict):
             raise ScenarioError(f"config file {path}: the root must be a mapping")
     flags = {k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None}
-    data = _merge(copy.deepcopy(_preset()), user | flags)
+    data = _merge(_preset(), user | flags)
 
     radio_kwargs = {
         k: _build(PathLossModel, v, f"radio.{k}: ") if isinstance(v, dict) else v

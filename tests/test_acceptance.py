@@ -51,6 +51,7 @@ def argmax_plateau(values, grid):
     return grid[start], grid[end], top
 
 
+@pytest.mark.slow
 def test_criterion_01_geometry_oracle():
     # analytic trivial cases, exact
     assert arc_length(2.0, 1.0, 3.0) == pytest.approx(0.0, abs=1e-9)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -325,6 +326,69 @@ def test_user_config_leaves_the_cached_preset_untouched(tmp_path):
     cfg.write_text("cell: {d_max_m: 120.0}\nsim: {mode: ppp, densities: [1.0e-3]}\n")
     assert load_scenario(str(cfg)) != preset
     assert load_scenario() == preset
+
+
+def _containers(obj):
+    """Every dict and list reachable from `obj`, also through dataclass fields."""
+    if isinstance(obj, (dict, list)):
+        yield obj
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from _containers(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _containers(getattr(obj, f.name))
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        (None, {}),
+        ("radio: {pl_bs: {exponent: 3.5}}\n", {}),
+        (
+            "sweep: [{name: d_cb, start: 0.0, stop: 400.0, steps: 5},"
+            " {name: p_due, start: 0.5, stop: 2.0, steps: 4}]\n",
+            {},
+        ),
+        ("sim: {mode: ppp, densities: [1.0e-4, 1.0e-3]}\n", {}),
+        ("versus: {name: bitrate, values: [1.0e+6, 2.0e+6]}\n", {}),
+        (None, {"seed": 7, "trials": 3, "out": "x.csv", "fmt": "json"}),
+    ],
+    ids=["preset", "partial-path-loss", "sweep", "densities", "versus", "flags"],
+)
+def test_loaded_scenario_shares_no_container_with_the_preset(tmp_path, text, flags):
+    cfg = tmp_path / "cfg.yaml"
+    if text is not None:
+        cfg.write_text(text)
+    loaded = load_scenario(str(cfg) if text is not None else None, **flags)
+    shared = {id(c) for c in _containers(scenario._preset())}
+    assert not [c for c in _containers(loaded) if id(c) in shared]
+    assert scenario._preset() == yaml.load(DEFAULT_YAML, Loader=scenario._Loader)
+
+
+def test_main_after_failed_calls_and_help_writes_the_golden_bytes(tmp_path, capsys):
+    # one parser serves every main call of a process
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: -3\n")
+    small = ["--config", str(DATA / "small.yaml")]
+    other = ["--out", str(tmp_path / "other.out")]
+    calls = [
+        (["guard", "--config", str(bad), *other], 2),
+        (["bogus", *other], 2),
+        (["guard", *small, "--format", "json", "--seed", "9", "--trials", "1", *other], 0),
+        (["--help"], 0),
+    ]
+    for argv, want in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == want, argv
+        for command in ("guard", "bounds"):
+            golden = f"{command}_small.csv"
+            code, out = run([command, *small], tmp_path, golden)
+            assert code == 0
+            assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert "usage: d2dcap" in capsys.readouterr().err
 
 
 def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):

@@ -35,6 +35,19 @@ def test_import_cli_leaves_numpy_and_mcsim_out():
     assert done.stdout.split() == ["False", "False"]
 
 
+def test_import_cli_builds_no_parser_and_parses_no_preset():
+    # both are cached per process, filled by the first main call
+    done = _fresh(
+        "import os\n"
+        "from d2dcap import cli, scenario\n"
+        "caches = (cli._build_parser, scenario._preset)\n"
+        "print(*(c.cache_info().currsize for c in caches))\n"
+        "cli.main(['guard', '--out', os.devnull])\n"
+        "print(*(c.cache_info().currsize for c in caches))\n"
+    )
+    assert done.stdout.split() == ["0", "0", "1", "1"]
+
+
 @pytest.mark.parametrize("command", ["guard", "bounds", "sweep"])
 def test_analytic_command_leaves_numpy_out(tmp_path, command):
     out = tmp_path / f"{command}.csv"

@@ -193,6 +193,16 @@ def _sparse_wide_nodes():
     return np.concatenate((x, x + dx)), np.concatenate((y, y - dy)), 0.1, 1.0
 
 
+def _pitch_margin_nodes():
+    # two pairs exactly d_max = 150 m apart, one along each axis, that bins
+    # of pitch d_max would put two apart: from the lowest node, at -869 m,
+    # one end lies an ulp short of 3 d_max and the other rounds onto 4 d_max
+    near = np.nextafter(-869.0 + 450.0, -np.inf)
+    line = np.array([-869.0, near, near + 150.0])
+    across = np.zeros(3)
+    return np.concatenate((line, across)), np.concatenate((across, line)), 2.0, 150.0
+
+
 NODE_SETS = {
     "ppp-4e-05": lambda: _ppp_nodes(4e-5, 1),
     "ppp-1e-03": lambda: _ppp_nodes(1e-3, 2),
@@ -207,6 +217,7 @@ NODE_SETS = {
     "one-column": lambda: _line_nodes(True),
     "bin-edges": _bin_edge_nodes,
     "sparse-wide": _sparse_wide_nodes,
+    "pitch-margin": _pitch_margin_nodes,
 }
 
 
@@ -603,6 +614,9 @@ def test_dense_ppp_passes_saturation_toward_fixed_shortest_links(radio, cell, gd
     assert not any(clearly_above(lo, hi) for lo, hi in zip(ppp, ppp[1:]))  # never decreases
     assert clearly_above(saturation, ppp[1]) and clearly_above(ppp[3], saturation)
     assert 0.85 * fixed[0] < ppp[-1][0] < fixed[0]
+    # the sparse end: about 7.0 pairs, where scanning each shell farthest
+    # first gives about 4.3
+    assert clearly_above(ppp[0], (6.0, 0.0))
 
 
 @pytest.mark.parametrize("density", [1e-4, 1e-3])
