@@ -31,6 +31,7 @@ order-independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable
@@ -111,6 +112,7 @@ class _Arena:
         self.cell = cell
         self.d_cb = d_cb
         self.g_c = compute_gc(gd.k, d_cb)
+        self._xyr, self._held = None, 0  # (x, y, r) of the first _held disks, (3, n, 1)
         self.cx: list[float] = []
         self.cy: list[float] = []
         self.radius: list[float] = []
@@ -136,7 +138,7 @@ class _Arena:
         ok &= rho >= self.gd.g_b + half
         ok &= np.hypot(cx - self.d_cb, cy) >= self.g_c + half
         er = 0.5 * (d_d2d + self.gd.g_d)
-        live = np.flatnonzero(ok)
+        live = ok.nonzero()[0]
         for x, y, r in self._disks(0, len(live)):
             live = live[(np.hypot(cx[live] - x, cy[live] - y) >= er[live] + r).all(axis=0)]
         while len(live):
@@ -150,11 +152,16 @@ class _Arena:
 
     def _disks(self, first: int, width: int):
         """The accepted disks from index `first` on, as (x, y, r) column arrays
-        in slices of at most _SPAN // width disks."""
+        in slices of at most _SPAN // width disks: views of one (3, n, 1)
+        array, rebuilt only after the arena has grown."""
+        n = len(self.cx)
+        if first >= n:
+            return
+        if self._held != n:
+            self._xyr, self._held = np.array((self.cx, self.cy, self.radius))[:, :, None], n
         step = max(_SPAN // max(width, 1), 1)
-        for i in range(first, len(self.cx), step):
-            j = slice(i, i + step)
-            yield tuple(np.array(v[j])[:, None] for v in (self.cx, self.cy, self.radius))
+        for i in range(first, n, step):
+            yield self._xyr[:, i : i + step]
 
     def link_bound(self, xc, yc, h: float):
         """Longest link any centre in each cell could use; cells are h x h squares
@@ -176,12 +183,14 @@ class _Arena:
 
     def disk_bound(self, xc, yc, h: float, first: int = 0):
         """Least of 2(far_j - r_j) - g_d over the disks j accepted from index
-        `first` on (inf for none), for the cells of `link_bound`."""
-        bound = np.full(len(xc), np.inf)
+        `first` on (inf for none), for the cells of `link_bound`.  The least
+        far_j - r_j is taken first and mapped once: fl(2x - g_d) is
+        monotone in x, so this equals the least of the mapped values."""
+        low = np.inf
         for x, y, r in self._disks(first, len(xc)):
             far = np.hypot(np.abs(xc - x) + 0.5 * h, np.abs(yc - y) + 0.5 * h)
-            np.minimum(bound, (2.0 * (far - r) - self.gd.g_d).min(axis=0), out=bound)
-        return bound
+            low = np.minimum(low, (far - r).min(axis=0))
+        return 2.0 * low - self.gd.g_d
 
 
 def _finish(
@@ -213,47 +222,44 @@ def _saturate(cfg: TrialConfig, cell: CellConfig, gd: GuardDistances, trial_inde
     The cell's bounding square is cut into side x side square cells, side =
     min(ceil(8 r_cell / (d_lo + g_d)), _MAX_SIDE), so the pitch is at most
     (d_lo + g_d) / 4 until the cap binds; d_lo is d_min, or d_fixed for
-    fixed links.  Each cell carries `link_bound`, the longest link any
-    centre in it could still use, and is live while that bound reaches
-    d_lo.  Each block draws one (5, _BLOCK) array of uniforms from the
-    stream ((4, _BLOCK) for fixed links): row 0 picks a live cell, weighted
-    by bound - d_lo (evenly for fixed links), rows 1 and 2 place the centre
-    uniformly in it, row 3 draws the link length uniformly on
-    [d_min, bound] (uniform links only) and the last row the heading.  The
-    proposal is uniform over a superset of the admissible (centre, link)
-    pairs, so `_Arena.admit` accepts exactly the random sequential
-    adsorption sequence.  After a block, the new disks tighten the live
-    cells' bounds; a block that accepts nothing splits every live cell into
-    four and bounds them afresh.  The trial ends jammed once no cell is
-    live, or at the refinement floor (_MAX_SPLITS splits, or more than
-    _MAX_CELLS cells after one).
+    fixed links.  Each cell carries its slack, `link_bound` - d_lo, where
+    `link_bound` is the longest link any centre in it could still use, and
+    is live while the slack is positive (not negative for fixed links).
+    The first grid and its slacks depend only on the guard radii, the cell,
+    d_cb and d_lo, so `_first_grid` builds them once per such combination
+    and the trials share them read-only.  Each block draws one (5, _BLOCK)
+    array of uniforms from the stream ((4, _BLOCK) for fixed links): row 0
+    picks a live cell, weighted by its slack (evenly for fixed links), rows
+    1 and 2 place the centre uniformly in it, row 3 draws the link length
+    uniformly on [d_min, bound] (uniform links only) and the last row the
+    heading.  The proposal is uniform over a superset of the admissible
+    (centre, link) pairs, so `_Arena.admit` accepts exactly the random
+    sequential adsorption sequence.  After a block, the new disks tighten
+    the live cells' slacks; a block that accepts nothing splits every live
+    cell into four and bounds them afresh.  The trial ends jammed once no
+    cell is live, or at the refinement floor (_MAX_SPLITS splits, or more
+    than _MAX_CELLS cells after one).
     """
     rng = np.random.default_rng([cfg.seed, trial_index])
     arena = _Arena(gd, cell, cfg.d_cb)
     fixed = cfg.d2d_dist == "fixed"
     d_lo = float(cfg.d_fixed) if fixed else cell.d_min_m
-    r = cell.r_cell_m
-    side = min(math.ceil(8.0 * r / (d_lo + gd.g_d)), _MAX_SIDE)
-    h = 2.0 * r / side
-    i = np.arange(side * side)
-    xc, yc = h * (i // side + 0.5) - r, h * (i % side + 0.5) - r
-    bound = arena.link_bound(xc, yc, h)
+    h, (xc, yc, slack) = _first_grid(gd, cell, cfg.d_cb, d_lo)
     splits = 0
     while True:
-        slack = bound - d_lo
         live = slack >= 0.0 if fixed else slack > 0.0
-        xc, yc, bound, slack = xc[live], yc[live], bound[live], slack[live]
+        xc, yc, slack = xc[live], yc[live], slack[live]
         if not len(xc):
             return arena, False
         u = rng.random((4 if fixed else 5, _BLOCK))
         cum = np.cumsum(np.ones(len(xc)) if fixed else slack)
-        k = np.minimum(np.searchsorted(cum, u[0] * cum[-1], side="right"), len(xc) - 1)
+        k = cum[:-1].searchsorted(u[0] * cum[-1], side="right")  # < len(xc), even at cum[-1]
         cx, cy = xc[k] + h * (u[1] - 0.5), yc[k] + h * (u[2] - 0.5)
         dd = np.full(_BLOCK, d_lo) if fixed else d_lo + slack[k] * u[3]
         n = len(arena.cx)
         arena.admit(cx, cy, dd, 2.0 * math.pi * u[-1])
         if len(arena.cx) > n:
-            np.minimum(bound, arena.disk_bound(xc, yc, h, n), out=bound)
+            np.minimum(slack, arena.disk_bound(xc, yc, h, n) - d_lo, out=slack)
         elif splits == _MAX_SPLITS or 4 * len(xc) > _MAX_CELLS:
             return arena, True
         else:
@@ -261,8 +267,24 @@ def _saturate(cfg: TrialConfig, cell: CellConfig, gd: GuardDistances, trial_inde
             xc = np.concatenate((xc - q, xc + q, xc - q, xc + q))
             yc = np.concatenate((yc - q, yc - q, yc + q, yc + q))
             h *= 0.5
-            bound = arena.link_bound(xc, yc, h)
+            slack = arena.link_bound(xc, yc, h) - d_lo
             splits += 1
+
+
+@functools.lru_cache(maxsize=1)
+def _first_grid(gd: GuardDistances, cell: CellConfig, d_cb: float, d_lo: float):
+    """The first grid of `_saturate` in the empty arena: (h, cells), cells a
+    read-only (3, side^2) array of centre x, centre y and slack.  A memo of
+    one entry: the trials of a grid point run one after another, so they
+    share one build (1.5 MiB at _MAX_SIDE)."""
+    r = cell.r_cell_m
+    side = min(math.ceil(8.0 * r / (d_lo + gd.g_d)), _MAX_SIDE)
+    h = 2.0 * r / side
+    i = np.arange(side * side)
+    xc, yc = h * (i // side + 0.5) - r, h * (i % side + 0.5) - r
+    cells = np.array((xc, yc, _Arena(gd, cell, d_cb).link_bound(xc, yc, h) - d_lo))
+    cells.flags.writeable = False
+    return h, cells
 
 
 def run_saturation_trial(

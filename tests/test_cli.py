@@ -61,6 +61,7 @@ def test_bounds_golden_file(tmp_path):
         ("guard", "small.yaml", "guard_small.csv"),
         ("sweep", "small.yaml", "sweep_small.csv"),
         ("simulate", "small.yaml", "simulate_small.csv"),
+        ("simulate", "fixed_small.yaml", "simulate_fixed_small.csv"),
         ("simulate", "ppp_small.yaml", "simulate_ppp_small.json"),
     ],
 )
@@ -88,6 +89,7 @@ def test_golden_files_under_the_pure_python_loader(tmp_path, monkeypatch):
         ("bounds", "small.yaml", "bounds_small.csv"),
         ("sweep", "small.yaml", "sweep_small.csv"),
         ("simulate", "small.yaml", "simulate_small.csv"),
+        ("simulate", "fixed_small.yaml", "simulate_fixed_small.csv"),
         ("simulate", "ppp_small.yaml", "simulate_ppp_small.json"),
     ]
     for command, config, golden in runs:

@@ -412,6 +412,83 @@ def test_admissible_matches_brute_force(gd, cell):
     assert agree == 1000
 
 
+def test_first_grid_memo_is_keyed_on_every_input_and_read_only(radio, cell, gd):
+    # grid point A's trials alternate with those of points that differ from
+    # A in one input of the memo key each (d_lo: fixed 40 m links instead of
+    # uniform ones from d_min; the cell; the guard radii; d_cb), in reverse
+    # trial order, and equal the same trials each run from a cleared memo
+    a = (TrialConfig(d_cb=150.0, seed=17), cell, gd)
+    others = [
+        (replace(a[0], d2d_dist="fixed", d_fixed=40.0), cell, gd),
+        (a[0], CellConfig(r_cell_m=450.0), gd),
+        (a[0], cell, replace(gd, g_d=0.9 * gd.g_d)),
+        (replace(a[0], d_cb=350.0), cell, gd),
+    ]
+    runs = [(t, run) for t in (2, 1, 0) for other in others for run in (a, other)] + [(0, a)]
+
+    def fresh(t, cfg, cell, gd):
+        mcsim._first_grid.cache_clear()
+        return run_saturation_trial(cfg, radio, cell, gd, t)
+
+    want = [fresh(t, *run) for t, run in runs]
+    got = [run_saturation_trial(cfg, radio, c, g, t) for t, (cfg, c, g) in runs]
+    assert got == want
+    assert mcsim._first_grid.cache_info().currsize == 1
+    _, cells = mcsim._first_grid(gd, cell, a[0].d_cb, cell.d_min_m)
+    for row in (cells, *cells):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+
+
+def _disk_bound_oracle(arena, xc, yc, h, first):
+    """min over the disks j >= first of 2(far_j - r_j) - g_d, one disk and
+    one cell at a time, in the order the formula is written (inf for none)."""
+    bound = np.full(len(xc), np.inf)
+    for i in range(len(xc)):
+        for x, y, r in zip(arena.cx[first:], arena.cy[first:], arena.radius[first:]):
+            far = np.hypot(abs(xc[i] - x) + 0.5 * h, abs(yc[i] - y) + 0.5 * h)
+            bound[i] = min(bound[i], 2.0 * (far - r) - arena.gd.g_d)
+    return bound
+
+
+def test_disk_bound_and_admit_in_many_slices_match_one_slice_and_oracle(radio, cell, gd, monkeypatch):
+    # with a 64-element span the 150 cells, and the more than 32 candidates
+    # that pass clauses (a)-(c), meet the disks one per slice; bounds and
+    # acceptances stay bit for bit those of one slice, and disk_bound stays
+    # the elementwise minimum of 2(far - r) - g_d
+    arena = _saturate(TrialConfig(d_cb=250.0, seed=41), cell, gd, 0)[0]
+    n = len(arena.cx)
+    rng = np.random.default_rng(26)
+    xc, yc = rng.uniform(-cell.r_cell_m, cell.r_cell_m, (2, 150))
+    h = 9.0
+    batch = (*rng.uniform(-cell.r_cell_m, cell.r_cell_m, (2, 120)), rng.uniform(2.0, 20.0, 120))
+    batch = (*batch, rng.uniform(0.0, 2.0 * math.pi, 120))
+
+    def admitted():
+        fresh = _Arena(gd, cell, 250.0)
+        for name in ("cx", "cy", "radius", "d_d2d", "angle"):
+            getattr(fresh, name).extend(getattr(arena, name)[: n // 2])
+        fresh.admit(*batch)
+        return arena_pairs(fresh)
+
+    assert sum(brute_force_admissible(c, [], gd, cell, 250.0) for c in zip(*batch[:3])) > 32
+    full = [arena.disk_bound(xc, yc, h, first) for first in (0, n - 3, n)]
+    full_admitted = admitted()
+    assert all(n * w <= mcsim._SPAN for w in (150, 120))  # one slice by default
+    monkeypatch.setattr(mcsim, "_SPAN", 64)
+    for first, want in zip((0, n - 3, n), full):
+        got = np.broadcast_to(arena.disk_bound(xc, yc, h, first), len(xc))
+        assert np.array_equal(got, np.broadcast_to(want, len(xc)))
+        assert np.array_equal(got, _disk_bound_oracle(arena, xc, yc, h, first))
+    assert admitted() == full_admitted
+    accepted = arena_pairs(arena)[: n // 2]
+    for candidate in zip(*batch[:3]):
+        if brute_force_admissible(candidate, accepted, gd, cell, 250.0):
+            accepted.append(candidate)
+    assert full_admitted == accepted
+    assert len(accepted) > n // 2  # the batch adds pairs
+
+
 def test_saturation_trial_deterministic(radio, cell, gd):
     cfg = TrialConfig(d_cb=150.0, seed=99)
     a = run_saturation_trial(cfg, radio, cell, gd, trial_index=3)
