@@ -16,7 +16,6 @@ from .propagation import (
     cue_rx_power,
     cue_tx_power,
     db_to_linear,
-    linear_to_db,
     noise_power,
     path_loss,
     shannon_sir_threshold,

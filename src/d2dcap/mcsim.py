@@ -17,11 +17,11 @@ Two deployment modes validate the analytical bounds:
 Both samplers admit through one kernel, `_Arena.admit`: every accepted
 pair respects the hard-core rules (inside the cell, clear of the BS guard
 disk and of the CUE cut-out) and disjoint exclusion disks.  A trial keeps
-its pairs only as the arena's columns, and one `evaluate_sir` call reads
-those columns to audit the guard-distance design after the fact, with the
-roles as placed and with every pair's transmitter and receiver swapped,
-both in one stacked pass.  The scalar form of the placement rules is the
-brute-force oracle in tests/test_mcsim.py.
+its pairs only as one (5, n) array, `_Arena.pairs`, and one `evaluate_sir`
+call reads its first four rows to audit the guard-distance design after
+the fact, with the roles as placed and with every pair's transmitter and
+receiver swapped, both in one stacked pass.  The scalar form of the
+placement rules is the brute-force oracle in tests/test_mcsim.py.
 
 Trials are pure functions of (config, trial index); each derives its own
 random stream (for saturation, blocks of _BLOCK candidates drawn from the
@@ -105,19 +105,16 @@ class MetricStats:
 
 class _Arena:
     """Mutable accepted-set state with vectorised admissibility checks and
-    the cell bounds of the saturation sampler."""
+    the cell bounds of the saturation sampler.  `pairs` holds the accepted
+    pairs, one column each in acceptance order: a (5, n) array of centre x,
+    centre y, link length, heading and exclusion radius."""
 
     def __init__(self, gd: GuardDistances, cell: CellConfig, d_cb: float):
         self.gd = gd
         self.cell = cell
         self.d_cb = d_cb
         self.g_c = compute_gc(gd.k, d_cb)
-        self._xyr, self._held = None, 0  # (x, y, r) of the first _held disks, (3, n, 1)
-        self.cx: list[float] = []
-        self.cy: list[float] = []
-        self.radius: list[float] = []
-        self.d_d2d: list[float] = []
-        self.angle: list[float] = []
+        self.pairs = np.empty((5, 0))
 
     def admit(self, cx, cy, d_d2d, angle) -> None:
         """Admit a batch of candidates in order.
@@ -141,27 +138,24 @@ class _Arena:
         live = ok.nonzero()[0]
         for x, y, r in self._disks(0, len(live)):
             live = live[(np.hypot(cx[live] - x, cy[live] - y) >= er[live] + r).all(axis=0)]
+        taken = []
         while len(live):
             j, live = int(live[0]), live[1:]
-            self.cx.append(cx[j])
-            self.cy.append(cy[j])
-            self.radius.append(er[j])
-            self.d_d2d.append(d_d2d[j])
-            self.angle.append(angle[j])
+            taken.append(j)
             live = live[np.hypot(cx[live] - cx[j], cy[live] - cy[j]) >= er[live] + er[j]]
+        if taken:
+            j = np.array(taken)
+            new = (cx[j], cy[j], d_d2d[j], angle[j], er[j])
+            self.pairs = np.concatenate((self.pairs, new), axis=1)
 
     def _disks(self, first: int, width: int):
-        """The accepted disks from index `first` on, as (x, y, r) column arrays
-        in slices of at most _SPAN // width disks: views of one (3, n, 1)
-        array, rebuilt only after the arena has grown."""
-        n = len(self.cx)
-        if first >= n:
-            return
-        if self._held != n:
-            self._xyr, self._held = np.array((self.cx, self.cy, self.radius))[:, :, None], n
+        """The accepted disks from index `first` on, as (x, y, r) column views
+        of rows 0, 1 and 4 of `pairs`, in slices of at most _SPAN // width
+        disks."""
         step = max(_SPAN // max(width, 1), 1)
-        for i in range(first, n, step):
-            yield self._xyr[:, i : i + step]
+        for i in range(first, self.pairs.shape[1], step):
+            p = self.pairs[:, i : i + step, None]
+            yield p[0], p[1], p[4]
 
     def link_bound(self, xc, yc, h: float):
         """Longest link any centre in each cell could use; cells are h x h squares
@@ -193,18 +187,15 @@ class _Arena:
         return 2.0 * low - self.gd.g_d
 
 
-def _finish(
-    arena: _Arena, cfg: TrialConfig, radio: RadioConfig, cell: CellConfig, floor_hit: bool = False
-) -> TrialResult:
-    n = len(arena.cx)
+def _finish(arena: _Arena, radio: RadioConfig, floor_hit: bool = False) -> TrialResult:
+    n = arena.pairs.shape[1]
     if n == 0:
         return TrialResult(0, 0.0, SIR_CAP, SIR_CAP, True, True, floor_hit)
-    pairs = np.array((arena.cx, arena.cy, arena.d_d2d, arena.angle))
 
     def meets(min_sir: float, bs_sir: float) -> bool:
         return min_sir >= radio.sir_due and bs_sir >= radio.sir_bs
 
-    (min_sir, bs_sir), swapped = evaluate_sir(pairs, radio, cell, cfg.d_cb)
+    (min_sir, bs_sir), swapped = evaluate_sir(arena.pairs[:4], radio, arena.cell, arena.d_cb)
     return TrialResult(
         n_pairs=n,
         throughput_bps=n * radio.bitrate_bps,
@@ -256,9 +247,9 @@ def _saturate(cfg: TrialConfig, cell: CellConfig, gd: GuardDistances, trial_inde
         k = cum[:-1].searchsorted(u[0] * cum[-1], side="right")  # < len(xc), even at cum[-1]
         cx, cy = xc[k] + h * (u[1] - 0.5), yc[k] + h * (u[2] - 0.5)
         dd = np.full(_BLOCK, d_lo) if fixed else d_lo + slack[k] * u[3]
-        n = len(arena.cx)
+        n = arena.pairs.shape[1]
         arena.admit(cx, cy, dd, 2.0 * math.pi * u[-1])
-        if len(arena.cx) > n:
+        if arena.pairs.shape[1] > n:
             np.minimum(slack, arena.disk_bound(xc, yc, h, n) - d_lo, out=slack)
         elif splits == _MAX_SPLITS or 4 * len(xc) > _MAX_CELLS:
             return arena, True
@@ -305,7 +296,7 @@ def run_saturation_trial(
         raise ValueError("run_saturation_trial requires a saturation-mode TrialConfig")
     cfg.check_cell(cell)
     arena, floor_hit = _saturate(cfg, cell, gd, trial_index)
-    return _finish(arena, cfg, radio, cell, floor_hit)
+    return _finish(arena, radio, floor_hit)
 
 
 def _feasible_pairs(px, py, d_min: float, d_max: float):
@@ -464,7 +455,7 @@ def run_ppp_trial(
         cy = 0.5 * (py[a] + py[b])
         angle = np.arctan2(py[a] - py[b], px[a] - px[b])
         arena.admit(cx, cy, dd, angle)
-    return _finish(arena, cfg, radio, cell)
+    return _finish(arena, radio)
 
 
 def run_trial(

@@ -18,7 +18,6 @@ __all__ = [
     "RadioConfig",
     "CellConfig",
     "db_to_linear",
-    "linear_to_db",
     "shannon_sir_threshold",
     "path_loss",
     "cue_rx_power",
@@ -41,13 +40,6 @@ def db_to_linear(x_db: float) -> float:
         return math.inf
 
 
-def linear_to_db(x: float) -> float:
-    """Convert a positive linear ratio to dB.  Raises on x <= 0."""
-    if x <= 0.0:
-        raise ValueError(f"cannot express non-positive ratio {x!r} in dB")
-    return 10.0 * math.log10(x)
-
-
 def shannon_sir_threshold(bitrate_bps: float, bandwidth_hz: float) -> float:
     """Minimum linear SIR sustaining `bitrate_bps` in `bandwidth_hz`.
 
@@ -66,7 +58,7 @@ class PathLossModel:
     exponent
         Path-loss exponent, > 0.
     intercept_db
-        Gain in dB at d = 1 m (negative); beta = 10**(intercept_db / 10).
+        Gain in dB at d = 1 m, at most 0; beta = 10**(intercept_db / 10).
     """
 
     exponent: float
@@ -75,7 +67,12 @@ class PathLossModel:
     def __post_init__(self):
         if not self.exponent > 0.0:
             raise ValueError(f"path-loss exponent must be > 0, got {self.exponent}")
-        if not 0.0 < self.beta < math.inf:
+        if not self.intercept_db <= 0.0:
+            raise ValueError(
+                f"path-loss intercept_db must be <= 0 (a gain of at most 1 at 1 m), "
+                f"got {self.intercept_db}"
+            )
+        if not self.beta > 0.0:
             raise ValueError(
                 f"path-loss intercept_db={self.intercept_db} gives linear gain {self.beta}"
             )

@@ -438,6 +438,8 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("output: {path: [a.csv]}\n", "output.path"),
         ("radio: {pl_bs: {intercept_db: 5000.0}}\n", "radio.pl_bs"),
         ("radio: {pl_due: {intercept_db: 5000.0}}\n", "radio.pl_due"),
+        ("radio: {pl_bs: {intercept_db: 300.0}}\n", "radio.pl_bs"),
+        ("radio: {pl_due: {intercept_db: 300.0}}\n", "radio.pl_due"),
         (
             "radio: {noise_mode: per-hz, noise_density_dbm_hz: 5000.0}\n",
             "radio.noise_density_dbm_hz",

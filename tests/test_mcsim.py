@@ -51,24 +51,21 @@ def arena_admits(candidate, accepted, gd, cell, d_cb):
     """Whether `_Arena.admit` takes `candidate` alone into an arena that holds
     `accepted`; both as in `brute_force_admissible`."""
     arena = _Arena(gd, cell, d_cb)
-    for cx, cy, d_link in accepted:
-        arena.cx.append(cx)
-        arena.cy.append(cy)
-        arena.radius.append(0.5 * (d_link + gd.g_d))
-        arena.d_d2d.append(d_link)
-        arena.angle.append(0.0)
+    rows = [(cx, cy, d_link, 0.0, 0.5 * (d_link + gd.g_d)) for cx, cy, d_link in accepted]
+    arena.pairs = np.array(rows, dtype=float).reshape(-1, 5).T
     arena.admit(*(np.array([v], dtype=float) for v in (*candidate, 0.0)))
-    return len(arena.cx) > len(accepted)
+    return arena.pairs.shape[1] > len(accepted)
 
 
 def arena_pairs(arena):
     """The accepted pairs as (cx, cy, d_d2d) tuples, in acceptance order."""
-    return list(zip(arena.cx, arena.cy, arena.d_d2d))
+    return list(zip(*arena.pairs[:3].tolist()))
 
 
 def arena_columns(arena):
     """The (4, n) array `evaluate_sir` reads: centre x, centre y, link, heading."""
-    return np.array((arena.cx, arena.cy, arena.d_d2d, arena.angle))
+    x, y, d_link, angle, _ = arena.pairs
+    return np.array((x, y, d_link, angle))
 
 
 def endpoints(cx, cy, d_link, angle):
@@ -444,8 +441,9 @@ def _disk_bound_oracle(arena, xc, yc, h, first):
     """min over the disks j >= first of 2(far_j - r_j) - g_d, one disk and
     one cell at a time, in the order the formula is written (inf for none)."""
     bound = np.full(len(xc), np.inf)
+    disks = arena.pairs[(0, 1, 4), first:].T.tolist()
     for i in range(len(xc)):
-        for x, y, r in zip(arena.cx[first:], arena.cy[first:], arena.radius[first:]):
+        for x, y, r in disks:
             far = np.hypot(abs(xc[i] - x) + 0.5 * h, abs(yc[i] - y) + 0.5 * h)
             bound[i] = min(bound[i], 2.0 * (far - r) - arena.gd.g_d)
     return bound
@@ -457,7 +455,7 @@ def test_disk_bound_and_admit_in_many_slices_match_one_slice_and_oracle(radio, c
     # acceptances stay bit for bit those of one slice, and disk_bound stays
     # the elementwise minimum of 2(far - r) - g_d
     arena = _saturate(TrialConfig(d_cb=250.0, seed=41), cell, gd, 0)[0]
-    n = len(arena.cx)
+    n = arena.pairs.shape[1]
     rng = np.random.default_rng(26)
     xc, yc = rng.uniform(-cell.r_cell_m, cell.r_cell_m, (2, 150))
     h = 9.0
@@ -466,8 +464,7 @@ def test_disk_bound_and_admit_in_many_slices_match_one_slice_and_oracle(radio, c
 
     def admitted():
         fresh = _Arena(gd, cell, 250.0)
-        for name in ("cx", "cy", "radius", "d_d2d", "angle"):
-            getattr(fresh, name).extend(getattr(arena, name)[: n // 2])
+        fresh.pairs = arena.pairs[:, : n // 2]
         fresh.admit(*batch)
         return arena_pairs(fresh)
 
@@ -623,7 +620,7 @@ def test_first_pair_link_length_law(cell, gd):
     # link length has density proportional to (L - d)+ on [d_min, d_max]
     n = 2000
     cfg = TrialConfig(d_cb=0.0, seed=2012)
-    d = np.sort([_saturate(cfg, cell, gd, t)[0].d_d2d[0] for t in range(n)])
+    d = np.sort([_saturate(cfg, cell, gd, t)[0].pairs[2, 0] for t in range(n)])
     length = cell.r_cell_m - gd.g_b
     a, b = length - cell.d_min_m, length - min(cell.d_max_m, length)
     law = (a * a - (length - d) ** 2) / (a * a - b * b)
@@ -657,7 +654,7 @@ def test_fixed_links_jam_at_rsa_coverage(radio):
     for t in range(6):
         arena, floor_hit = _saturate(cfg, cell, gd, t)
         assert not floor_hit
-        inside = np.hypot(arena.cx, arena.cy) <= window
+        inside = np.hypot(*arena.pairs[:2]) <= window
         coverage.append(inside.sum() * 1.0**2 / window**2)
     assert abs(np.mean(coverage) - 0.547) < 0.02
 

@@ -10,7 +10,6 @@ from d2dcap.propagation import (
     RadioConfig,
     cue_tx_power,
     db_to_linear,
-    linear_to_db,
     noise_power,
     path_loss,
     shannon_sir_threshold,
@@ -28,16 +27,9 @@ def test_dbm_to_mw_pinned():
     assert db_to_linear(23.0) == pytest.approx(199.5262314968880, rel=1e-12)
 
 
-def test_linear_to_db_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
-    with pytest.raises(ValueError):
-        linear_to_db(-1.0)
-
-
 @given(st.floats(min_value=-200.0, max_value=50.0))
 def test_db_round_trip(x_db):
-    assert linear_to_db(db_to_linear(x_db)) == pytest.approx(x_db, rel=1e-12, abs=1e-12)
+    assert 10 * math.log10(db_to_linear(x_db)) == pytest.approx(x_db, rel=1e-12, abs=1e-12)
 
 
 def test_default_models_match_reference_points(radio):
@@ -45,7 +37,7 @@ def test_default_models_match_reference_points(radio):
     assert path_loss(radio.pl_bs, 1000.0) == pytest.approx(db_to_linear(-128.1), rel=1e-12)
     assert path_loss(radio.pl_due, 1.0) == pytest.approx(db_to_linear(-38.0), rel=1e-12)
     assert path_loss(radio.pl_due, 10.0) == pytest.approx(2.754228703338166e-08, rel=1e-12)
-    assert linear_to_db(path_loss(radio.pl_due, 10.0)) == pytest.approx(-75.6, rel=1e-12)
+    assert 10 * math.log10(path_loss(radio.pl_due, 10.0)) == pytest.approx(-75.6, rel=1e-12)
 
 
 def test_path_loss_rejects_nonpositive_distance(radio):
@@ -142,9 +134,11 @@ def test_sir_defaults_are_shannon_thresholds():
 def test_config_validation():
     with pytest.raises(ValueError):
         RadioConfig(bandwidth_hz=0.0)
-    for intercept_db in (5000.0, -5000.0):  # linear gain overflows or underflows
+    # gains above 1 at 1 m, and one that underflows to 0
+    for intercept_db in (0.1, 5000.0, -5000.0):
         with pytest.raises(ValueError, match="intercept_db"):
             PathLossModel(exponent=3.76, intercept_db=intercept_db)
+    assert PathLossModel(exponent=3.76, intercept_db=0.0).beta == 1.0
     for mode in ("per-hz", "total"):
         with pytest.raises(ValueError, match="radio.noise_density_dbm_hz"):
             RadioConfig(noise_mode=mode, noise_density_dbm_hz=5000.0)
