@@ -7,8 +7,6 @@ power, and the three ways the noise figure can be interpreted.
 
 import math
 
-import numpy as np
-
 from d2dcap import (
     CellConfig,
     RadioConfig,

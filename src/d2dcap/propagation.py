@@ -170,13 +170,18 @@ def cue_rx_power(cfg: RadioConfig, cell: CellConfig) -> float:
 def cue_tx_power(cfg: RadioConfig, cell: CellConfig, d_cb: float) -> float:
     """Uplink transmit power (mW) of a power-controlled CUE at distance d_cb.
 
-    It delivers P_r,CB at the BS, so P_t,C = P_r,CB / L_B(d_cb).
+    It delivers P_r,CB at the BS, so P_t,C = P_r,CB / L_B(d_cb); that is 0
+    where d_cb**alpha underflows to 0, as at d_cb = 0.
     """
     if not 0.0 < d_cb <= cell.r_cell_m:
         raise ValueError(
             f"CUE distance must lie in (0, {cell.r_cell_m}], got {d_cb}"
         )
-    return cue_rx_power(cfg, cell) / path_loss(cfg.pl_bs, d_cb)
+    try:
+        gain = path_loss(cfg.pl_bs, d_cb)
+    except ZeroDivisionError:
+        return 0.0
+    return cue_rx_power(cfg, cell) / gain
 
 
 def noise_power(cfg: RadioConfig) -> float:

@@ -264,9 +264,10 @@ def _merge(base: dict, user, where: str = "") -> dict:
     Nested mappings merge key by key, so a partial override keeps the
     preset's other values.  Where the preset holds a float the user gives a
     finite number, stored as a float; where it holds an int, an integer;
-    where it holds a list, a list or null (an empty list) of numbers, or of
-    mappings merged onto `_AXIS_PRESET` for `sweep`.  Every mapping and list
-    of the result is new, so a caller may change it without touching `base`.
+    where it holds a string, a string; where it holds a list, a list or
+    null (an empty list) of numbers, or of mappings merged onto
+    `_AXIS_PRESET` for `sweep`.  Every mapping and list of the result is
+    new, so a caller may change it without touching `base`.
     """
     if not isinstance(user, dict):
         raise ScenarioError(f"{where} must be a mapping")
@@ -290,6 +291,8 @@ def _merge(base: dict, user, where: str = "") -> dict:
             value = _number(value, path)
         elif isinstance(preset, int):
             value = _integer(value, path)
+        elif isinstance(preset, str) and not isinstance(value, str):
+            raise ScenarioError(f"{path} must be a string, got {value!r}")
         given[key] = value
     return {
         key: given[key] if key in given
@@ -363,6 +366,8 @@ def load_scenario(
             raise ScenarioError(f"cannot read config file {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ScenarioError(f"config file {path} is not valid YAML: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"config file {path} is not valid UTF-8: {exc}") from exc
         if user is None:
             user = {}
         if not isinstance(user, dict):
@@ -378,16 +383,16 @@ def load_scenario(
     cell = _build(CellConfig, data["cell"])
     try:
         cue_rx_power(radio, cell)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         raise ScenarioError(
-            f"cell.r_cell_m={cell.r_cell_m} overflows the cell-edge path loss "
-            f"with radio.pl_bs exponent {radio.pl_bs.exponent}"
+            f"cell.r_cell_m={cell.r_cell_m} puts the cell-edge path loss out of float "
+            f"range with radio.pl_bs exponent {radio.pl_bs.exponent}"
         ) from None
     axes = _build_axes(data["sweep"], cell)
 
     versus = data["versus"]
     versus_name, versus_values = versus["name"], versus["values"]
-    if not isinstance(versus_name, str) or versus_name not in _VERSUS_FIELDS:
+    if versus_name not in _VERSUS_FIELDS:
         raise ScenarioError(
             f"versus.name must be one of {tuple(_VERSUS_FIELDS)}, got {versus_name!r}"
         )

@@ -462,6 +462,8 @@ def test_partial_path_loss_override_keeps_preset_intercept(tmp_path):
         ("sweep: [{name: foo}]\n", "sweep[0].name"),
         ("sweep: [{name: d_cb, start: 0.0, stop: 600.0, steps: 3}]\n", "sweep[0]"),
         ("sim: {d2d_dist: bogus}\n", "sim.d2d_dist"),
+        ("radio: {noise_mode: {}}\n", "radio.noise_mode"),
+        ("cell: {d_min_m: 1.0e-302, d_max_m: 1.0e-301, r_cell_m: 1.0e-300}\n", "cell.r_cell_m"),
     ],
 )
 def test_bad_config_exits_2_naming_field(tmp_path, capsys, text, field):

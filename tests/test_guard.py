@@ -189,13 +189,13 @@ def test_solve_gb_with_shared_sums_equals_fresh_solves(sweep, monkeypatch):
     fields, d_max, versus, versus_values, p_due_grid = GB_SWEEPS[sweep]
     cell = CellConfig(d_max_m=d_max)
     calls = []
-    ring_sums = hexpack.ring_sums
+    ring_sum = hexpack.ring_sum
 
-    def counting_ring_sums(*args):
-        ring_sum = ring_sums(*args)
-        return lambda g_b: calls.append(g_b) or ring_sum(g_b)
+    def counting_ring_sum(g_d, g_b, *args):
+        calls.append(g_b)
+        return ring_sum(g_d, g_b, *args)
 
-    monkeypatch.setattr(hexpack, "ring_sums", counting_ring_sums)
+    monkeypatch.setattr(hexpack, "ring_sum", counting_ring_sum)
     sums = {}
     shared_calls = fresh_calls = solved = 0
     for value in versus_values:

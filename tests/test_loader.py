@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from d2dcap import scenario
+from d2dcap import cli, scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.append(str(ROOT / "perfbench"))
@@ -76,3 +76,13 @@ def test_exponent_floats_without_a_dot_are_floats(loader, text, value):
 def test_loader_leaves_pyyaml_classes_alone():
     for cls in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         assert yaml.load("x: 1e-3\n", Loader=cls) == {"x": "1e-3"}
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=["libyaml-or-fallback", "pure-python"])
+def test_config_that_is_not_utf8_exits_2_naming_the_file(loader, tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(b"radio: {p_due_mw: 0.5}\n# \xff\n")
+    monkeypatch.setattr(scenario, "_Loader", loader)
+    assert cli.main(["guard", "--config", str(bad), "--out", str(tmp_path / "g.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err

@@ -100,6 +100,13 @@ def test_cue_power_range(radio, cell):
         cue_tx_power(radio, cell, cell.r_cell_m + 1.0)
 
 
+def test_cue_power_vanishes_where_the_bs_gain_overflows(radio, cell):
+    # 1e-84 ** 3.76 is subnormal, so the gain is inf; 1e-195 ** 3.76 is 0
+    assert cue_tx_power(radio, cell, 1e-84) == 0.0
+    assert cue_tx_power(radio, cell, 1e-195) == 0.0
+    assert 0.0 < cue_tx_power(radio, cell, 1e-30) < 1e-100
+
+
 @given(st.floats(min_value=1e-3, max_value=500.0))
 def test_power_control_invariant(d_cb):
     radio = RadioConfig(noise_mode="zero")
