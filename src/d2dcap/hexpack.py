@@ -37,6 +37,8 @@ _GUARD_TERM = _SQRT3 * math.pi - 6.0
 #: Most layers a layout may hold.  A layout of L layers holds about
 #: 1.5 L^2 disks, and `ring_sum` computes about half as many distinct
 #: terms, one pass over the layers per guard radius the BS solver tries.
+#: `_layer_count` is the one check, made before any layer is listed or
+#: any term computed.
 MAX_LAYERS = 1000
 
 
@@ -90,11 +92,11 @@ def hex_radii(g_b: float, r_cell: float) -> tuple[float, float]:
     return 2.0 * g_b / _SQRT3, r_h2
 
 
-def _layers(r_h1: float, r_h2: float, d_min: float, r_e_min: float) -> list:
-    """(kappa_i, (n_excl, n_incl)) for each layer `build_layout` lists.
+def _layer_count(r_h1: float, r_h2: float, d_min: float, r_e_min: float) -> int:
+    """How many layers of disks of radius r_e_min `build_layout` lists
+    between hexagons of sides r_h1 and r_h2.
 
-    Raises LayoutTooLarge, before any layer is listed, beyond MAX_LAYERS
-    layers.
+    Raises LayoutTooLarge beyond MAX_LAYERS layers.
     """
     arg = (r_h2 - r_h1 - d_min) / (2.0 * r_e_min)
     if not arg < MAX_LAYERS:
@@ -102,7 +104,16 @@ def _layers(r_h1: float, r_h2: float, d_min: float, r_e_min: float) -> list:
             f"cell.r_cell_m: a ring of width {r_h2 - r_h1:.6g} m holds "
             f"{arg:.3g} layers of disks of radius {r_e_min:.6g} m, more than {MAX_LAYERS}"
         )
-    n_layers = 0 if arg < 0.0 else math.floor(arg) + 1
+    return 0 if arg < 0.0 else math.floor(arg) + 1
+
+
+def _layers(r_h1: float, r_h2: float, d_min: float, r_e_min: float) -> list:
+    """(kappa_i, (n_excl, n_incl)) for each layer `build_layout` lists.
+
+    Raises LayoutTooLarge, before any layer is listed, beyond MAX_LAYERS
+    layers.
+    """
+    n_layers = _layer_count(r_h1, r_h2, d_min, r_e_min)
     base = r_h1 + d_min / 2.0
     step = 2.0 * r_e_min
     floor = math.floor
@@ -188,11 +199,40 @@ def ring_sum(g_d: float, g_b: float, cell: CellConfig, pl_bs: PathLossModel) -> 
     `packed_layout(g_d, g_b, cell)`.
 
     3 p_due ring_sum(g_d, g_b, cell, pl_bs) equals that interference bit
-    for bit, straight from the layer counts, without building the layout.
+    for bit, without building the layout: one loop over the layers
+    computes each layer's base distance, counts and terms with the float
+    expressions of `_layers` and `_sum_layers`, and adds the terms in
+    their order.  Raises LayoutTooLarge, before any term is computed,
+    beyond MAX_LAYERS layers.
     """
     r_e_min, _ = disk_radii(g_d, cell)
-    layers = _layers(*hex_radii(g_b, cell.r_cell_m), cell.d_min_m, r_e_min)
-    return _sum_layers(layers, r_e_min, pl_bs.beta, pl_bs.exponent)
+    r_h1, r_h2 = hex_radii(g_b, cell.r_cell_m)
+    d_min = cell.d_min_m
+    n_layers = _layer_count(r_h1, r_h2, d_min, r_e_min)
+    beta, alpha = pl_bs.beta, pl_bs.exponent
+    base = r_h1 + d_min / 2.0
+    step = 2.0 * r_e_min
+    floor, sqrt = math.floor, math.sqrt
+    total = 0.0
+    for i in range(1, n_layers + 1):
+        kappa_i = base + 2.0 * (i - 1) * r_e_min
+        n_excl = floor((base + (2 * i - 3) * r_e_min) / step)
+        if n_excl < 0:
+            n_excl = 0
+        n_incl = floor(kappa_i / step) + 1
+        k2 = kappa_i**2
+        terms = []
+        # n_excl < n_incl: the two floors are half a step apart
+        for m in range(n_incl):
+            o = step * m
+            terms.append(beta / sqrt(k2 + o * o - kappa_i * o) ** alpha)
+        layer = 0.0
+        for term in terms[1 : n_excl + 1]:
+            layer += term
+        for term in terms:
+            layer += term
+        total += layer
+    return total
 
 
 def first_layer_neighbors(g_d: float, r_e_min: float, r_e_max: float) -> int:

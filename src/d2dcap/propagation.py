@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "NOISE_MODES",
@@ -77,9 +78,13 @@ class PathLossModel:
                 f"path-loss intercept_db={self.intercept_db} gives linear gain {self.beta}"
             )
 
-    @property
+    @cached_property
     def beta(self) -> float:
-        """Linear gain at 1 m."""
+        """Linear gain at 1 m, computed once per model.
+
+        Not a field: headers, equality and hashing see only the exponent
+        and the intercept.
+        """
         return db_to_linear(self.intercept_db)
 
     def gain(self, d):
@@ -153,8 +158,9 @@ class CellConfig:
     def __post_init__(self):
         if not (0.0 < self.d_min_m < self.d_max_m < self.r_cell_m):
             raise ValueError(
-                "cell geometry requires 0 < d_min_m < d_max_m < r_cell_m, got "
-                f"d_min_m={self.d_min_m}, d_max_m={self.d_max_m}, r_cell_m={self.r_cell_m}"
+                "cell geometry requires 0 < cell.d_min_m < cell.d_max_m < cell.r_cell_m, got "
+                f"cell.d_min_m={self.d_min_m}, cell.d_max_m={self.d_max_m}, "
+                f"cell.r_cell_m={self.r_cell_m}"
             )
 
 

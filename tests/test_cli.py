@@ -135,7 +135,7 @@ def test_config_validation_names_field(tmp_path, capsys):
     code = main(["guard", "--config", str(bad)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "d_min_m" in err and "d_max_m" in err
+    assert "cell.d_min_m" in err and "cell.d_max_m" in err and "cell.r_cell_m" in err
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -687,7 +687,7 @@ def test_sweep_keeps_one_bisection_path_of_ring_sums(tmp_path, monkeypatch):
 
 def test_sweep_ring_sums_do_not_outlive_one_call(tmp_path, monkeypatch):
     sizes_at_entry, summed = [], []
-    solve_gb, sum_layers = guard.solve_gb, hexpack._sum_layers
+    solve_gb, ring_sum = guard.solve_gb, hexpack.ring_sum
 
     def spy(radio, cell, g_d, sums=None):
         sizes_at_entry.append(len(sums))
@@ -695,7 +695,7 @@ def test_sweep_ring_sums_do_not_outlive_one_call(tmp_path, monkeypatch):
 
     monkeypatch.setattr(guard, "solve_gb", spy)
     monkeypatch.setattr(
-        hexpack, "_sum_layers", lambda *args: summed.append(args) or sum_layers(*args)
+        hexpack, "ring_sum", lambda *args: summed.append(args) or ring_sum(*args)
     )
     per_call = []
     for _ in range(2):

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from d2dcap import hexpack
 from d2dcap.hexpack import (
@@ -267,14 +267,75 @@ def test_ring_sums_at_the_ends_of_the_guard_range(case):
             ring_sum(g_d, g_b, cell, radio.pl_bs)
 
 
-def test_ring_sum_refuses_more_than_max_layers(monkeypatch):
-    # it raises before any term is summed
-    summed = []
-    monkeypatch.setattr(hexpack, "_sum_layers", lambda *args: summed.append(args))
+def test_ring_sum_refuses_more_than_max_layers():
+    # it raises before any term is computed; each term raises a distance to
+    # the path-loss exponent, which this exponent records
+    powered = []
+
+    class Exponent(float):
+        def __rpow__(self, base):
+            powered.append(base)
+            return base ** float(self)
+
+    spied = PathLossModel(Exponent(3.76), -15.3)
+    plain = PathLossModel(3.76, -15.3)
+    preset = CellConfig()
+    assert ring_sum(100.0, 200.0, preset, spied) == ring_sum(100.0, 200.0, preset, plain)
+    assert powered
+    powered.clear()
     cell = CellConfig(r_cell_m=1e4, d_min_m=2.0)
     with pytest.raises(LayoutTooLarge, match="cell.r_cell_m"):
-        ring_sum(0.0, 0.0, cell, PathLossModel(3.76, -15.3))
-    assert summed == []
+        ring_sum(0.0, 0.0, cell, spied)
+    assert powered == []
+
+
+def test_ring_sum_is_one_by_one_interference_on_drawn_cells():
+    """3 p ring_sum equals the one-by-one sum over the packed layout, bit for
+    bit, on drawn cells, guard radii, path losses and powers.
+
+    Guard radii come mostly from the solver's range [g_d/2, r_cell], which
+    reaches rings of no layer (at r_cell), of one layer and of dozens.
+    There the first layer's excluding count is at least 0 before clamping,
+    since r_h1 = 2 g_b / sqrt(3) > g_d / 2; it is 0 when the step
+    g_d + d_min is long.  The clamp itself needs g_b < sqrt(3) g_d / 4, so
+    some radii are drawn below g_d/2.
+    """
+    layer_counts, first_layers = set(), set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        r_cell=st.floats(50.0, 2000.0),
+        d_max_frac=st.floats(0.01, 0.99),
+        d_min_frac=st.floats(0.001, 0.99),
+        g_d_frac=st.floats(0.0, 1.0),
+        below=st.booleans(),
+        g_b_frac=st.floats(0.0, 1.0),
+        exponent=st.floats(2.0, 6.0),
+        intercept_db=st.floats(-60.0, 0.0),
+        p_due=st.floats(1e-3, 10.0),
+    )
+    def check(r_cell, d_max_frac, d_min_frac, g_d_frac, below, g_b_frac, exponent,
+              intercept_db, p_due):
+        d_max = d_max_frac * r_cell
+        cell = CellConfig(r_cell_m=r_cell, d_min_m=d_min_frac * d_max, d_max_m=d_max)
+        # at most about 60 layers, and lattice steps of at least r_cell / 50
+        g_d = r_cell * (0.02 + 1.98 * g_d_frac)
+        lo = g_d / 2.0
+        g_b = g_b_frac * lo if below else lo + g_b_frac * (r_cell - lo)
+        pl = PathLossModel(exponent, intercept_db)
+        layout = packed_layout(g_d, g_b, cell)
+        want = one_by_one_interference(layout, p_due, pl)
+        assert bs_interference(layout, p_due, pl) == want
+        assert 3.0 * p_due * ring_sum(g_d, g_b, cell, pl) == want
+        layer_counts.add(len(layout.per_layer))
+        if layout.per_layer:
+            r_h1, _ = hex_radii(g_b, r_cell)
+            first_layers.add((layout.per_layer[0][0] == 0, r_h1 < lo))
+
+    check()
+    assert {0, 1} <= layer_counts and max(layer_counts) >= 20
+    # a first layer with no excluding disk, without and with the clamp
+    assert {(True, False), (True, True)} <= first_layers
 
 
 def test_first_layer_neighbors_kissing_number():

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from d2dcap import propagation
 from d2dcap.propagation import (
     CellConfig,
     PathLossModel,
@@ -136,6 +138,24 @@ def test_sir_defaults_are_shannon_thresholds():
     override = RadioConfig(sir_due=1.5)
     assert override.sir_due == 1.5
     assert override.sir_bs == expected
+
+
+def test_beta_is_computed_once_per_model_and_is_not_a_field(monkeypatch):
+    assert [f.name for f in dataclasses.fields(PathLossModel)] == ["exponent", "intercept_db"]
+    converted = []
+    monkeypatch.setattr(
+        propagation, "db_to_linear", lambda x_db: converted.append(x_db) or db_to_linear(x_db)
+    )
+    model = PathLossModel(exponent=3.76, intercept_db=-15.3)
+    assert [model.beta for _ in range(3)] == [db_to_linear(-15.3)] * 3
+    assert converted == [-15.3]
+    other = dataclasses.replace(model, intercept_db=-38.0)
+    assert other.beta == db_to_linear(-38.0)
+    assert converted == [-15.3, -38.0]
+    twin = PathLossModel(exponent=3.76, intercept_db=-15.3)
+    assert twin == model and hash(twin) == hash(model)
+    assert other != model
+    assert repr(model) == "PathLossModel(exponent=3.76, intercept_db=-15.3)"
 
 
 def test_config_validation():
